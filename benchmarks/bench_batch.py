@@ -9,19 +9,12 @@ so both sides pay identical placement/scheduler construction costs and
 the ratio isolates the execution model.  The batch side takes the best
 of two full runs — scheduler noise on a shared machine only ever adds
 time, so the minimum is the robust estimate.
-
-Like the other engine benchmarks, the measured cases are merged into
-``BENCH_engine.json`` so the speedup trajectory is tracked PR over PR.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
-from typing import Dict, List
-
-import pytest
+from typing import List
 
 from repro.experiments.runner import run_experiment
 from repro.sim.batch import run_batch
@@ -30,33 +23,12 @@ from repro.spec import ExperimentSpec, PlacementSpec
 
 from benchmarks.conftest import report_lines
 
-_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-_CASES: Dict[str, Dict[str, object]] = {}
-
 #: the pinned acceptance cell and the floor the batch backend must clear.
 _ALGORITHM, _N, _K, _SCHEDULER = "known_n_full", 1024, 16, "sync"
 _BATCH_TRIALS = 512
 _BATCH_ROUNDS = 2  # best-of: timing noise only ever adds time
 _ORACLE_SAMPLE = 8
 _REQUIRED_SPEEDUP = 10.0
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_bench_json():
-    """Merge the measured cases into BENCH_engine.json (read-modify-write,
-    same protocol as bench_engine_throughput)."""
-    yield
-    if not _CASES:
-        return
-    cases: Dict[str, Dict[str, object]] = {}
-    if _JSON_PATH.exists():
-        try:
-            cases = json.loads(_JSON_PATH.read_text()).get("cases", {})
-        except (json.JSONDecodeError, AttributeError):
-            cases = {}
-    cases.update(_CASES)
-    payload = {"schema": 1, "unit": "atomic actions", "cases": cases}
-    _JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _specs(trials: int) -> List[ExperimentSpec]:
@@ -97,17 +69,6 @@ def test_batch_backend_speedup_pinned_cell(benchmark):
     object_per_trial = (time.perf_counter() - start) / len(sample)
 
     speedup = object_per_trial / batch_per_trial
-    _CASES[f"batch {_ALGORITHM} n={_N} k={_K} {_SCHEDULER} B={_BATCH_TRIALS}"] = {
-        "algorithm": _ALGORITHM,
-        "n": _N,
-        "k": _K,
-        "scheduler": _SCHEDULER,
-        "batch_trials": _BATCH_TRIALS,
-        "batch_seconds_per_trial": round(batch_per_trial, 6),
-        "object_seconds_per_trial": round(object_per_trial, 6),
-        "speedup_vs_object": round(speedup, 1),
-        "required_speedup": _REQUIRED_SPEEDUP,
-    }
     report_lines(
         "Batch backend - pinned acceptance cell",
         [

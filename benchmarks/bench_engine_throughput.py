@@ -3,10 +3,7 @@
 Not a paper table — operational data for users sizing their own sweeps.
 pytest-benchmark timing is meaningful here (multiple rounds).
 
-Besides the terminal tables, this module writes ``BENCH_engine.json`` at
-the repo root: one machine-readable entry per case (steps, mean seconds,
-steps/second) so later PRs can track the throughput trajectory.  The
-large cases (n=1024, k=32) exist precisely for that trajectory: the
+The large cases (n=1024, k=32) track the engine's scaling: the
 single-agent-per-batch ``RandomScheduler`` case is where a full O(k)
 enabled-set rescan per step hurts most, and where the incremental
 enabledness engine shows its gain.
@@ -14,51 +11,22 @@ enabledness engine shows its gain.
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from pathlib import Path
-from typing import Callable, Dict
-
-import pytest
+from typing import Callable
 
 from repro.experiments.runner import build_engine
-from repro.experiments.sweep import SweepSpec, run_sweep
+from repro.experiments.sweep import SweepSpec, execute_sweep
 from repro.ring.placement import random_placement
 from repro.sim.scheduler import RandomScheduler
 
 from benchmarks.conftest import report_lines
 
-_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-_CASES: Dict[str, Dict[str, object]] = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_bench_json():
-    """Merge every recorded case into BENCH_engine.json after the module.
-
-    Read-modify-write so a partial run (``-k large_random``) refreshes
-    only the cases it measured instead of erasing the tracked history.
-    """
-    yield
-    if not _CASES:
-        return
-    cases: Dict[str, Dict[str, object]] = {}
-    if _JSON_PATH.exists():
-        try:
-            cases = json.loads(_JSON_PATH.read_text()).get("cases", {})
-        except (json.JSONDecodeError, AttributeError):
-            cases = {}
-    cases.update(_CASES)
-    payload = {"schema": 1, "unit": "atomic actions", "cases": cases}
-    _JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _timed(make_engine: Callable[[], object]):
     """Return a zero-arg callable running one engine to quiescence.
 
     The callable returns ``(steps, wall_seconds)`` — its own clock, so
-    the JSON trajectory does not depend on pytest-benchmark internals.
+    the reported throughput does not depend on pytest-benchmark internals.
     """
 
     def runner():
@@ -70,20 +38,6 @@ def _timed(make_engine: Callable[[], object]):
     return runner
 
 
-def _record_case(
-    name: str, algorithm: str, n: int, k: int, scheduler: str, steps: int, seconds: float
-) -> None:
-    _CASES[name] = {
-        "algorithm": algorithm,
-        "n": n,
-        "k": k,
-        "scheduler": scheduler,
-        "steps": steps,
-        "mean_seconds": round(seconds, 6),
-        "steps_per_second": round(steps / seconds) if seconds > 0 else None,
-    }
-
-
 def _bench_run(
     benchmark, name: str, algorithm: str, n: int, k: int, seed: int, scheduler: str
 ):
@@ -93,7 +47,6 @@ def _bench_run(
         return build_engine(algorithm, placement, scheduler=sched)
 
     steps, seconds = benchmark(_timed(make_engine))
-    _record_case(name, algorithm, n, k, scheduler, steps, seconds)
     report_lines(
         f"Engine throughput - {name}",
         [
@@ -102,7 +55,7 @@ def _bench_run(
         ],
     )
     assert steps > 0
-    return steps
+    return steps, seconds
 
 
 def test_throughput_known_k_full(benchmark):
@@ -134,12 +87,10 @@ def test_throughput_large_random_scheduler(benchmark):
     # The acceptance case for the incremental enabledness engine: one
     # agent per batch means a per-batch rescan costs O(k) per atomic
     # action; the live enabled set makes this O(1).
-    _bench_run(
+    steps, seconds = _bench_run(
         benchmark, "known_k_full n=1024 k=32 random", "known_k_full", 1024, 32, 7, "random"
     )
-    case = _CASES["known_k_full n=1024 k=32 random"]
-    case["seed_baseline_steps_per_second"] = _SEED_RANDOM_CASE_ACTIONS_PER_SECOND
-    assert case["steps_per_second"] > 2 * _SEED_RANDOM_CASE_ACTIONS_PER_SECOND
+    assert steps / seconds > 2 * _SEED_RANDOM_CASE_ACTIONS_PER_SECOND
 
 
 def test_throughput_sweep_grid(benchmark):
@@ -154,21 +105,11 @@ def test_throughput_sweep_grid(benchmark):
 
     def runner():
         start = time.perf_counter()
-        rows = run_sweep(spec, processes=1)
+        rows = execute_sweep(spec, processes=1).rows
         return rows, time.perf_counter() - start
 
     rows, seconds = benchmark.pedantic(runner, rounds=1, iterations=1)
     assert all(row["uniform"] for row in rows)
-    total_moves = sum(int(row["total_moves"]) for row in rows)
-    _record_case(
-        "sweep 2x(n,k) x 2 schedulers",
-        "known_k_full",
-        512,
-        16,
-        "sync+random",
-        total_moves,
-        seconds,
-    )
     report_lines(
         "Engine throughput - sweep grid (4 cells)",
         [f"cells: {len(rows)}", f"wall: {seconds:.3f}s"],

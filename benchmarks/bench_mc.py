@@ -1,63 +1,28 @@
-"""Model-checker throughput: POR reduction and parallel frontier.
+"""Model-checker throughput: POR reduction and the verified ceiling.
 
-The exhaustive checker's scaling story after the packed-encoding + POR
-+ parallel rebuild, in three measurements on a pinned n=10, k=3 cell
-(the largest instance the verification ladder reports as exhaustively
-verified):
+Two measurements on a pinned n=10, k=3 cell (the largest instance the
+verification ladder reports as exhaustively verified):
 
 * serial full expansion vs sleep-set POR — the asserted >=2x win: POR
   executes fewer than half the transitions while reaching the identical
   state set, so states/second of *verification* roughly doubles;
-* the wave-synchronous frontier driver at ``--jobs`` — recorded, and
-  asserted only when the host actually has spare cores (a 1-CPU CI
-  runner cannot speed up by forking, but the POR ratio above already
-  carries the PR's >=2x acceptance bar there);
 * the memo footprint of the packed encoding at that size.
-
-Results merge into ``BENCH_engine.json`` so the verified-instance
-ceiling and the reduction ratio are tracked PR over PR.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
-from typing import Dict
 
-import pytest
-
-from repro.mc import check_frontier, check_interleavings
+from repro.mc import check_interleavings
 from repro.ring.placement import Placement
 
 from benchmarks.conftest import report_lines
-
-_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-_CASES: Dict[str, Dict[str, object]] = {}
 
 #: The pinned flagship cell: the largest (n, k) the ladder verifies
 #: exhaustively.  8009 canonical states under either mode.
 _ALGORITHM = "unknown"
 _PLACEMENT = Placement(ring_size=10, homes=(0, 3, 7))
 _REQUIRED_IMPROVEMENT = 2.0
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_bench_json():
-    """Merge every recorded case into BENCH_engine.json after the module."""
-    yield
-    if not _CASES:
-        return
-    cases: Dict[str, Dict[str, object]] = {}
-    if _JSON_PATH.exists():
-        try:
-            cases = json.loads(_JSON_PATH.read_text()).get("cases", {})
-        except (json.JSONDecodeError, AttributeError):
-            cases = {}
-    cases.update(_CASES)
-    payload = {"schema": 1, "unit": "atomic actions", "cases": cases}
-    _JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def test_por_halves_verification_work(benchmark):
@@ -86,24 +51,6 @@ def test_por_halves_verification_work(benchmark):
         f"{_REQUIRED_IMPROVEMENT}x on the pinned cell"
     )
 
-    _CASES[f"mc por {_ALGORITHM} n=10 k=3"] = {
-        "algorithm": _ALGORITHM,
-        "n": _PLACEMENT.ring_size,
-        "k": _PLACEMENT.agent_count,
-        "homes": list(_PLACEMENT.homes),
-        "states": reduced.explored,
-        "transitions_full": full.transitions,
-        "transitions_por": reduced.transitions,
-        "por_transition_reduction": round(reduction, 2),
-        "required_improvement": _REQUIRED_IMPROVEMENT,
-        "full_seconds": round(full_seconds, 6),
-        "por_seconds": round(por_seconds, 6),
-        "states_per_second_full": round(full.explored / full_seconds),
-        "states_per_second_por": round(reduced.explored / por_seconds),
-        "transitions_per_second_full": round(full.transitions / full_seconds),
-        "transitions_per_second_por": round(reduced.transitions / por_seconds),
-        "wall_clock_speedup": round(speedup, 2),
-    }
     report_lines(
         "Model checker - sleep-set POR (pinned n=10 k=3 cell)",
         [
@@ -127,19 +74,6 @@ def test_max_verified_instance_and_memo_footprint(benchmark):
     assert result.ok and result.complete
     assert result.memo_bytes > 0
 
-    _CASES[f"mc max-verified {_ALGORITHM} n=10 k=3"] = {
-        "algorithm": _ALGORITHM,
-        "n": _PLACEMENT.ring_size,
-        "k": _PLACEMENT.agent_count,
-        "homes": list(_PLACEMENT.homes),
-        "states": result.explored,
-        "transitions": result.transitions,
-        "terminals": result.terminals,
-        "max_depth": result.max_depth,
-        "memo_bytes": result.memo_bytes,
-        "mean_seconds": round(seconds, 6),
-        "states_per_second": round(result.explored / seconds),
-    }
     report_lines(
         "Model checker - max verified instance",
         [
@@ -148,53 +82,5 @@ def test_max_verified_instance_and_memo_footprint(benchmark):
             f"{result.transitions} transitions, {result.terminals} terminals "
             f"in {seconds:.2f}s ({result.explored / seconds:,.0f} states/s), "
             f"memo {result.memo_bytes:,} bytes",
-        ],
-    )
-
-
-def test_parallel_frontier_jobs(benchmark):
-    jobs = min(4, os.cpu_count() or 1)
-
-    def run_both():
-        start = time.perf_counter()
-        serial = check_frontier(_ALGORITHM, _PLACEMENT, jobs=1)
-        serial_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        parallel = check_frontier(_ALGORITHM, _PLACEMENT, jobs=jobs)
-        parallel_seconds = time.perf_counter() - start
-        return serial, parallel, serial_seconds, parallel_seconds
-
-    serial, parallel, serial_seconds, parallel_seconds = benchmark(run_both)
-
-    # Jobs invariance is the frontier driver's core guarantee.
-    assert parallel.to_dict() == serial.to_dict()
-    speedup = serial_seconds / parallel_seconds
-    if (os.cpu_count() or 1) >= 2 and jobs >= 2:
-        # With real cores available the fan-out must pay for its
-        # serialisation overhead; on a 1-CPU host the POR benchmark
-        # above carries the PR's >=2x acceptance requirement instead.
-        assert speedup >= 1.2, (
-            f"--jobs {jobs} slower than serial on a "
-            f"{os.cpu_count()}-core host ({speedup:.2f}x)"
-        )
-
-    _CASES[f"mc frontier {_ALGORITHM} n=10 k=3 jobs={jobs}"] = {
-        "algorithm": _ALGORITHM,
-        "n": _PLACEMENT.ring_size,
-        "k": _PLACEMENT.agent_count,
-        "jobs": jobs,
-        "host_cpus": os.cpu_count(),
-        "states": parallel.explored,
-        "serial_seconds": round(serial_seconds, 6),
-        "parallel_seconds": round(parallel_seconds, 6),
-        "parallel_speedup": round(speedup, 2),
-        "states_per_second_parallel": round(parallel.explored / parallel_seconds),
-    }
-    report_lines(
-        f"Model checker - frontier driver (jobs={jobs}, "
-        f"{os.cpu_count()} host cpu(s))",
-        [
-            f"serial {serial_seconds:.2f}s vs jobs={jobs} "
-            f"{parallel_seconds:.2f}s ({speedup:.2f}x); stats identical",
         ],
     )

@@ -44,7 +44,6 @@ serial run's.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue as queue_module
 import signal
 import time
@@ -474,11 +473,7 @@ def run_campaign(
                     {
                         "unit": by_key[unit_key].to_dict(),
                         "attempt": attempt,
-                        "options": {
-                            "keep_going": True,
-                            "shrink": True,
-                            "backend": spec.backend,
-                        },
+                        "options": {"keep_going": True, "shrink": True},
                     }
                 )
                 ledger.append(

@@ -9,7 +9,8 @@ quarantine) lives in the coordinator; the worker just:
    ``heartbeat_interval`` seconds,
 3. consults the :class:`~repro.campaign.chaos.ChaosPlan` (the fault it
    suffers, if any, is a pure function of unit key and attempt),
-4. executes the unit, streaming results *directly* into the
+4. executes the unit (a sweep cell is one trial, so it runs on the
+   object engine), streaming results *directly* into the
    content-addressed store — workers write their own pid shards, so a
    SIGKILL can never tear another worker's records, and duplicate
    executions of the same deterministic unit collapse by content hash,
@@ -103,36 +104,19 @@ def _stream_coverage_delta(
 
 
 def _execute_cell(
-    unit: WorkUnit,
-    attempt: int,
-    store,
-    chaos: ChaosPlan,
-    fault,
-    options: Optional[Dict[str, object]] = None,
+    unit: WorkUnit, attempt: int, store, chaos: ChaosPlan, fault
 ) -> Dict[str, object]:
     """One sweep cell: run the experiment, archive the record.
 
-    ``options["backend"] == "batch"`` routes the cell through the
-    columnar engine (a campaign unit is one trial, so the "batch" has
-    size one — the win here is uniformity with sweep-level batching,
-    and byte-identical records either way).  Cells the batch backend
-    does not cover fall back to the object engine, like everywhere
-    else the knob appears.
+    A cell is a single trial, so it always runs on the object engine:
+    the columnar batch backend only pays off across many trials of one
+    sweep cell (see :mod:`repro.sim.batch`).
     """
     from repro.experiments.runner import run_experiment
     from repro.spec import ExperimentSpec
 
     spec = ExperimentSpec.from_dict(unit.payload["spec"])
-    backend = (options or {}).get("backend", "object")
-    if backend == "batch":
-        from repro.sim.batch import batch_supported, run_batch
-
-        if batch_supported(spec) is None:
-            result = run_batch([spec])[0]
-        else:
-            result = run_experiment(spec)
-    else:
-        result = run_experiment(spec)
+    result = run_experiment(spec)
     # The mid-cell crash window: the result exists only in this
     # process's memory until the put below commits it.
     chaos.inject(fault, "mid")
@@ -228,9 +212,7 @@ def worker_main(
                 # `kill` at the start point never returns from here.
                 chaos.inject(fault, "start", heartbeat_stop=heartbeat.stop)
                 if unit.kind == "cell":
-                    summary = _execute_cell(
-                        unit, attempt, store, chaos, fault, options=options
-                    )
+                    summary = _execute_cell(unit, attempt, store, chaos, fault)
                 elif unit.kind == "fuzz-shard":
                     summary = _execute_fuzz_shard(
                         unit, attempt, store, chaos, fault,

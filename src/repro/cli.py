@@ -536,9 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
     mc_parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help=(
-            "process-parallel exploration: placements fan across a pool "
-            "on a grid, a single configuration uses the wave-synchronous "
-            "frontier driver (results are identical to --jobs 1)"
+            "worker processes for a grid: whole placements fan across a "
+            "pool (results are identical to --jobs 1); a single "
+            "configuration always runs the serial search"
         ),
     )
     mc_parser.add_argument(
@@ -556,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", default=None, metavar="DIR",
         help=(
             "spill the frontier + visited memo to DIR/mc/<check-hash>/ "
-            "every wave so a killed check can be resumed"
+            "every wave so a killed check can be resumed (single process)"
         ),
     )
     mc_parser.add_argument(
@@ -715,13 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument(
         "--shards", type=int, default=4,
         help="fuzz campaign: independent shards the budget is split into",
-    )
-    campaign_parser.add_argument(
-        "--backend", choices=("object", "batch"), default="object",
-        help=(
-            "sweep campaign: cell execution engine (batch = columnar numpy "
-            "engine, byte-identical records; uncovered cells fall back)"
-        ),
     )
     campaign_parser.add_argument(
         "--chaos", default=None, metavar="SPEC",
@@ -1111,6 +1104,8 @@ def _command_mc(args: argparse.Namespace) -> int:
         raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
     if args.resume and not args.store:
         raise ReproError("--resume needs --store (nothing spilled to resume from)")
+    if args.store and args.jobs > 1:
+        raise ReproError("--store runs in a single process; drop --jobs")
     por = not args.no_por
     links = args.links
     if args.spec:
@@ -1157,13 +1152,12 @@ def _command_mc(args: argparse.Namespace) -> int:
         faulty = f" under link faults ({links.describe()})" if links else ""
         print(f"model checking {algorithm} on n={n} k={k}: {scope}{faulty}")
     if args.store is not None:
-        # Spilled (and optionally parallel) frontier exploration; one
-        # resumable journal per placement, keyed by check-spec hash.
+        # Spilled frontier exploration; one resumable journal per
+        # placement, keyed by check-spec hash.
         results = [
             check_frontier(
                 algorithm,
                 placement,
-                jobs=args.jobs,
                 store_root=args.store,
                 resume=args.resume,
                 progress=progress,
@@ -1171,14 +1165,7 @@ def _command_mc(args: argparse.Namespace) -> int:
             )
             for placement in placements
         ]
-    elif args.jobs > 1 and len(placements) == 1:
-        results = [
-            check_frontier(
-                algorithm, placements[0], jobs=args.jobs,
-                progress=progress, **limits,
-            )
-        ]
-    elif args.jobs > 1:
+    elif args.jobs > 1 and len(placements) > 1:
         results = check_placements_pool(
             algorithm, placements, jobs=args.jobs, **limits
         )
@@ -1417,7 +1404,6 @@ def _command_campaign(args: argparse.Namespace) -> int:
             unit_timeout=args.unit_timeout,
             max_retries=args.max_retries,
             backoff_base=args.backoff_base,
-            backend=args.backend,
         )
     chaos = parse_chaos_spec(args.chaos) if args.chaos else None
     print(f"campaign {spec.content_hash()[:16]}: {spec.describe()}")

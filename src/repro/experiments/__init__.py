@@ -33,13 +33,12 @@ from repro.experiments.statistics import (
     aggregate_trials,
 )
 from repro.experiments.sweep import (
-    SCHEDULER_SPECS,
     SweepCell,
     SweepSpec,
     cell_seed,
+    execute_sweep,
     expand_cells,
     run_cell,
-    run_sweep,
     rows_to_json,
     summarize_rows,
 )
@@ -82,13 +81,12 @@ __all__ = [
     "symmetry_placement",
     "symmetry_sweep",
     "table1_sweep",
-    "SCHEDULER_SPECS",
     "SweepCell",
     "SweepSpec",
     "cell_seed",
+    "execute_sweep",
     "expand_cells",
     "run_cell",
-    "run_sweep",
     "rows_to_json",
     "summarize_rows",
 ]

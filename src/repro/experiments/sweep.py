@@ -16,12 +16,11 @@ module provides the deterministic plumbing:
   :class:`RunResult` to the flat row every consumer sees,
 * :func:`run_cell` — one cell to one flat result row (picklable both
   ways, so it can cross a process boundary),
-* :func:`run_sweep` / :func:`execute_sweep` — the driver: a
-  ``multiprocessing`` pool when ``processes > 1``, a plain loop
-  otherwise, identical rows either way.
+* :func:`execute_sweep` — the driver: a ``multiprocessing`` pool when
+  ``processes > 1``, a plain loop otherwise, identical rows either way.
 
-Determinism contract: ``run_sweep(spec, processes=1)`` and
-``run_sweep(spec, processes=32)`` return byte-identical row lists.
+Determinism contract: ``execute_sweep(spec, processes=1).rows`` and
+``execute_sweep(spec, processes=32).rows`` are byte-identical row lists.
 This is what lets later PRs track benchmark trajectories cell by cell.
 
 Sweeps are resumable: pass ``store=RunStore(dir)`` and every completed
@@ -43,16 +42,7 @@ import json
 import multiprocessing
 import warnings
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     CampaignInterrupted,
@@ -60,19 +50,12 @@ from repro.errors import (
     ProvenanceWarning,
 )
 from repro.experiments.runner import RunResult, run_experiment
-from repro.registry import (
-    build_scheduler,
-    get_algorithm,
-    parse_scheduler_spec,
-    scheduler_names,
-)
+from repro.registry import get_algorithm, parse_scheduler_spec
 from repro.ring.faults import LinkSpec
-from repro.sim.scheduler import Scheduler
 from repro.spec import ExperimentSpec, PlacementSpec
 from repro.store import RunRecord, RunStore, env_fingerprint
 
 __all__ = [
-    "SCHEDULER_SPECS",
     "SUMMARY_GROUP_KEYS",
     "SweepCell",
     "SweepOutcome",
@@ -81,57 +64,11 @@ __all__ = [
     "cell_seed",
     "execute_sweep",
     "expand_cells",
-    "make_scheduler",
     "rows_from_store",
     "run_cell",
-    "run_sweep",
     "rows_to_json",
     "summarize_rows",
 ]
-
-class _SchedulerSpecsView(Mapping):
-    """Deprecated read-only view: spec name -> factory taking the cell seed.
-
-    Kept so historical ``SCHEDULER_SPECS[name](seed)`` call sites keep
-    working; the factories now delegate to
-    :func:`repro.registry.build_scheduler`, so the registry is the only
-    place schedulers are constructed.
-    """
-
-    def __getitem__(self, name: str) -> object:
-        try:
-            parse_scheduler_spec(name)
-        except ConfigurationError:
-            # Mapping contract: `in` / `.get` must see KeyError, not a
-            # domain error, to keep legacy membership tests working.
-            raise KeyError(name) from None
-        return lambda seed, _name=name: build_scheduler(_name, seed=seed)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(scheduler_names())
-
-    def __len__(self) -> int:
-        return len(scheduler_names())
-
-
-#: Deprecated registry view (use scheduler spec strings instead).
-SCHEDULER_SPECS: Mapping[str, object] = _SchedulerSpecsView()
-
-
-def make_scheduler(spec_name: str, seed: int) -> Scheduler:
-    """Deprecated alias for :func:`repro.registry.build_scheduler`.
-
-    The sweep runner used to own its own scheduler table; the typed
-    registry replaced it.  ``spec_name`` may now be any scheduler spec
-    string (``"laggard:victims=0,patience=5"``), not just a bare name.
-    """
-    warnings.warn(
-        "repro.experiments.sweep.make_scheduler is deprecated; use "
-        "repro.registry.build_scheduler",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_scheduler(spec_name, seed=seed)
 
 
 def cell_seed(
@@ -585,37 +522,6 @@ def execute_sweep(
     return SweepOutcome(
         rows=rows, total=len(cells), executed=len(pending), cached=cached
     )
-
-
-def run_sweep(
-    spec: SweepSpec,
-    processes: Optional[int] = None,
-    *,
-    store: Optional[RunStore] = None,
-    resume: bool = True,
-    progress: Optional[Callable[[int, int], None]] = None,
-    backend: str = "object",
-    validate_backend: bool = False,
-) -> List[Dict[str, object]]:
-    """Run every cell of ``spec``; return rows in canonical cell order.
-
-    ``processes`` defaults to the machine's CPU count, capped at the
-    number of cells.  With one process (or one cell) the pool is skipped
-    entirely.  Completed cells stream back as workers finish, but the
-    returned rows are identical regardless of parallelism.  ``store``/
-    ``resume``/``progress``/``backend``/``validate_backend`` are
-    forwarded to :func:`execute_sweep` (which also reports cache-hit
-    accounting).
-    """
-    return execute_sweep(
-        spec,
-        processes,
-        store=store,
-        resume=resume,
-        progress=progress,
-        backend=backend,
-        validate_backend=validate_backend,
-    ).rows
 
 
 def rows_from_store(

@@ -13,10 +13,11 @@ schedule.
 
 Entry points: :func:`check_interleavings` (one placement),
 :func:`exhaust_placements` (all placements of an ``(n, k)``, optionally
-fanned across a process pool), :func:`check_frontier` (wave-synchronous
-parallel exploration with an optional disk-spilled, resumable
-frontier), :func:`replay_counterexample` (deterministic reproduction),
-and the ``repro mc`` CLI command.
+fanned across a process pool — the checker's only process
+parallelism), :func:`check_frontier` (serial breadth-first exploration
+with an optional disk-spilled, resumable frontier),
+:func:`replay_counterexample` (deterministic reproduction), and the
+``repro mc`` CLI command.
 
 Exploration applies the sleep-set partial-order reduction of
 :mod:`repro.mc.por` by default: redundant interleavings of commuting

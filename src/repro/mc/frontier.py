@@ -2,7 +2,7 @@
 
 A long exhaustive check is a computation worth protecting: hours of
 exploration die with the process on the first OOM kill or pre-emption.
-This module spills the wave-synchronous frontier driver's open frontier
+This module spills the breadth-first frontier driver's open frontier
 and visited-key memo to ``<store>/mc/<check-hash>/``, keyed — like the
 RunStore — by a content hash of the *check spec* (algorithm, placement,
 POR mode, limits, terminal requirements, packed-encoding version), so a
@@ -61,7 +61,7 @@ class FrontierItem:
     """One open state awaiting expansion.
 
     ``key`` is the packed canonical key, ``schedule`` an activation
-    prefix that reaches the state (workers replay it from the root),
+    prefix that reaches the state (the driver replays it from the root),
     ``sleep`` the canonical sleep slots the state is to be expanded
     under, and ``restrict`` — when not ``None`` — the exact slots to
     (re-)expand: the sleep-set revisit rule re-opens only the
@@ -120,8 +120,8 @@ def check_spec(
 
     Everything that changes the *meaning* of the exploration is in here
     (including the packed-encoding version — a format bump must never
-    resume an old spill); runtime knobs like ``jobs`` are not, so a
-    check can resume under a different worker count.  ``links`` (a
+    resume an old spill); runtime hooks like ``progress`` are not.
+    ``links`` (a
     :class:`~repro.ring.faults.LinkSpec`, serialised) is emitted only
     when active, so every reliable check keeps its historical hash.
     """

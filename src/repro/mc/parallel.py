@@ -1,31 +1,29 @@
-"""Parallel model checking: wave-synchronous frontier + placement pool.
+"""Placement pool and the spillable breadth-first frontier driver.
 
-Two orthogonal parallelisation axes over :mod:`repro.mc.checker`:
+Two drivers over :mod:`repro.mc.checker`, each for a job the DFS of
+:func:`check_interleavings` does not do on its own:
 
-* :func:`check_placements_pool` — the embarrassingly parallel axis:
-  whole placements of an ``(n, k)`` grid fan across a process pool,
-  each worker running the ordinary serial DFS.  Results keep placement
-  order, so the output is byte-identical to the serial grid.
+* :func:`check_placements_pool` — whole placements of an ``(n, k)``
+  grid fan across a process pool, each worker running the ordinary
+  serial DFS.  Results keep placement order, so the output is
+  byte-identical to the serial grid.  This is the only process
+  parallelism the model checker has: a single configuration always
+  runs the DFS.
 
-* :func:`check_frontier` — intra-placement parallelism: a
-  wave-synchronous (lockstep) breadth-first driver.  Each wave, the
-  open frontier is partitioned by *memo ownership* — a state's owner
-  shard is ``int(key) % jobs``, so exactly one shard ever stores a
-  given canonical key — and the per-owner buckets are expanded by a
-  process pool.  The master merges children in globally sorted
-  ``(key, schedule)`` order, which makes every counter and the final
-  verdict deterministic *and invariant in* ``jobs``: the ``--jobs 2``
-  run reports the same numbers as ``--jobs 1`` (pinned by tests).
+* :func:`check_frontier` — a serial, wave-synchronous breadth-first
+  driver whose open frontier and visited memo can be spilled to disk
+  and resumed (:mod:`repro.mc.frontier`).  With ``store_root`` set,
+  every wave is committed to an append-only journal and a killed check
+  resumes from the last commit with identical cumulative stats.  Each
+  wave is expanded in sorted ``(key, schedule)`` order and its children
+  merged in the same order, so the counters are deterministic and
+  equal to the DFS's (pinned by tests).
 
-Engines cannot cross process boundaries (agent protocols are live
-generators), so workers rebuild states by replaying the item's
-activation schedule on a per-process root engine — the same
-view-replay mechanism :meth:`Engine.fork` uses in-process.  That costs
-``O(depth)`` steps per expanded state, the price of a frontier that
-can also be spilled to disk and resumed (:mod:`repro.mc.frontier`):
-with ``store_root`` set, every wave is committed to an append-only
-journal and a killed check resumes from the last commit with identical
-cumulative stats.
+A frontier item carries the activation schedule that reaches it, not
+an engine: the driver rebuilds each state by replaying that schedule
+on a pristine root engine — the view-replay mechanism
+:meth:`Engine.fork` uses — at ``O(depth)`` steps per expanded state,
+the price of a frontier that can be written to disk.
 
 The breadth-first driver retains every guarantee of the DFS *except*
 livelock-cycle detection (there is no DFS path to find a back-edge
@@ -46,7 +44,7 @@ from repro.mc.checker import (
     check_interleavings,
 )
 from repro.mc.frontier import FrontierItem, FrontierSpill, ResumeState, check_spec
-from repro.mc.por import agents_of_slots, sleep_after, slots_of_agents
+from repro.mc.por import sleep_after, slots_of_agents
 from repro.mc.properties import (
     SafetyProperty,
     TerminalProperty,
@@ -102,16 +100,16 @@ def check_placements_pool(
 
 
 # ----------------------------------------------------------------------
-# Wave-synchronous frontier driver
+# Breadth-first, spillable frontier driver
 # ----------------------------------------------------------------------
 
-#: Child record produced by a worker: (canonical key, schedule, sleep
+#: Child record produced by an expansion: (canonical key, schedule, sleep
 #: slots, quiescent flag, terminal violation or None).
 _Child = Tuple[bytes, Tuple[int, ...], frozenset, bool, Optional[Tuple[str, str]]]
 
 
-class _FrontierWorker:
-    """Per-process expansion state: a pristine root engine + properties."""
+class _Expander:
+    """Expands frontier items from a pristine root engine."""
 
     def __init__(
         self,
@@ -197,50 +195,10 @@ class _FrontierWorker:
         return transitions, por_skipped, children, violations
 
 
-_WORKER: Optional[_FrontierWorker] = None
-
-
-def _init_frontier_worker(
-    algorithm: str,
-    placement: Placement,
-    por: bool,
-    safety_props: Tuple[SafetyProperty, ...],
-    terminal_props: Tuple[TerminalProperty, ...],
-    links: Optional[LinkSpec] = None,
-) -> None:
-    global _WORKER
-    root = _make_engine(algorithm, placement, None, links)
-    _WORKER = _FrontierWorker(
-        root, safety_props, terminal_props, por, placement.ring_size
-    )
-
-
-def _expand_batch(
-    items: List[FrontierItem],
-) -> Tuple[int, int, List[_Child], List[dict]]:
-    assert _WORKER is not None
-    transitions = 0
-    por_skipped = 0
-    children: List[_Child] = []
-    violations: List[dict] = []
-    for item in items:
-        t, p, c, v = _WORKER.expand(item)
-        transitions += t
-        por_skipped += p
-        children.extend(c)
-        violations.extend(v)
-    return transitions, por_skipped, children, violations
-
-
-def _owner(key: bytes, jobs: int) -> int:
-    return int.from_bytes(key[:8], "big") % jobs
-
-
 def check_frontier(
     algorithm: str,
     placement: Placement,
     *,
-    jobs: int = 1,
     por: bool = True,
     store_root: Optional[str] = None,
     resume: bool = False,
@@ -255,25 +213,17 @@ def check_frontier(
     links: Optional[LinkSpec] = None,
     progress: Optional[Callable[[SearchStats], None]] = None,
 ) -> MCResult:
-    """Breadth-first, optionally parallel and disk-spilled exploration.
+    """Breadth-first, optionally disk-spilled exploration.
 
     Semantics match :func:`check_interleavings` (same properties, same
     POR, same verdicts) except that livelock cycles are not detected
-    and ``stop_at_first`` stops at wave granularity.  ``jobs > 1``
-    requires a registered ``algorithm`` name; ``store_root`` spills
-    every wave to ``<store_root>/mc/<check-hash>/`` and ``resume=True``
-    continues a previously killed run (a completed run's stored result
-    is returned directly).  ``links`` behaves as in
+    and ``stop_at_first`` stops at wave granularity.  ``store_root``
+    spills every wave to ``<store_root>/mc/<check-hash>/`` and
+    ``resume=True`` continues a previously killed run (a completed
+    run's stored result is returned directly).  ``links`` behaves as in
     :func:`check_interleavings`: fault-aware properties, link-actor
-    branches, and sleep sets forced off (see :mod:`repro.mc.por`); the
-    wave-merge discipline keeps the verdict ``jobs``-invariant on
-    faulty instances exactly as on reliable ones.
+    branches, and sleep sets forced off (see :mod:`repro.mc.por`).
     """
-    if jobs > 1 and factory is not None:
-        raise ValueError(
-            "check_frontier(jobs>1) needs a registered algorithm name; "
-            "agent factories do not cross process boundaries"
-        )
     n, k = placement.ring_size, placement.agent_count
     if links is not None and not links.active:
         links = None
@@ -319,6 +269,13 @@ def check_frontier(
             message=entry["msg"],
         )
 
+    expander = _Expander(
+        _make_engine(algorithm, placement, factory, links),
+        safety_props,
+        terminal_props,
+        por,
+        n,
+    )
     if resumed is not None:
         wave = resumed.wave
         visited = resumed.visited
@@ -331,8 +288,7 @@ def check_frontier(
             # explore further, just finalise the stored state.
             frontier = []
     else:
-        root = _make_engine(algorithm, placement, factory, links)
-        root_key = root.snapshot().canonical_key()
+        root_key = expander.root.snapshot().canonical_key()
         wave = 0
         visited = {root_key: frozenset()}
         frontier = [FrontierItem(key=root_key, schedule=())]
@@ -346,135 +302,98 @@ def check_frontier(
             )
 
     complete = not stats.truncated
-    pool = None
-    local_worker: Optional[_FrontierWorker] = None
-    if jobs > 1:
-        pool = multiprocessing.Pool(
-            processes=jobs,
-            initializer=_init_frontier_worker,
-            initargs=(
-                algorithm,
-                placement,
-                por,
-                safety_props,
-                terminal_props,
-                links,
-            ),
-        )
-    else:
-        local_worker = _FrontierWorker(
-            _make_engine(algorithm, placement, factory, links),
-            safety_props,
-            terminal_props,
-            por,
-            n,
-        )
+    while frontier:
+        if max_states is not None and stats.explored >= max_states:
+            complete = False
+            break
+        wave_violations: List[dict] = []
+        children: List[_Child] = []
+        for item in sorted(frontier, key=lambda item: (item.key, item.schedule)):
+            transitions, por_skipped, item_children, item_violations = (
+                expander.expand(item)
+            )
+            stats.transitions += transitions
+            stats.por_skipped += por_skipped
+            children.extend(item_children)
+            wave_violations.extend(item_violations)
+        children.sort(key=lambda child: (child[0], child[1]))
 
-    try:
-        while frontier:
-            if max_states is not None and stats.explored >= max_states:
-                complete = False
-                break
-            buckets: List[List[FrontierItem]] = [[] for _ in range(max(jobs, 1))]
-            for item in frontier:
-                buckets[_owner(item.key, max(jobs, 1))].append(item)
-            for bucket in buckets:
-                bucket.sort(key=lambda item: (item.key, item.schedule))
-            occupied = [bucket for bucket in buckets if bucket]
-            if pool is not None:
-                parts = pool.map(_expand_batch, occupied)
-            else:
-                parts = [_expand_batch_local(local_worker, b) for b in occupied]
-
-            wave_violations: List[dict] = []
-            children: List[_Child] = []
-            for transitions, por_skipped, part_children, part_violations in parts:
-                stats.transitions += transitions
-                stats.por_skipped += por_skipped
-                children.extend(part_children)
-                wave_violations.extend(part_violations)
-            children.sort(key=lambda child: (child[0], child[1]))
-
-            wave_terminal_keys: List[str] = []
-            visited_delta: List[Tuple[bytes, frozenset]] = []
-            next_frontier: List[FrontierItem] = []
-            hit_max_states = False
-            for key, schedule, sleep_slots, quiescent, term in children:
-                if len(schedule) > stats.max_depth:
-                    stats.max_depth = len(schedule)
-                stored = visited.get(key)
-                if stored is not None:
-                    if stored <= sleep_slots:
-                        stats.deduped += 1
-                        continue
-                    # Sleep-set revisit rule: re-expand exactly what the
-                    # stored visit slept through but this path does not.
-                    reopen = stored - sleep_slots
-                    merged = stored & sleep_slots
-                    visited[key] = merged
-                    visited_delta.append((key, merged))
+        wave_terminal_keys: List[str] = []
+        visited_delta: List[Tuple[bytes, frozenset]] = []
+        next_frontier: List[FrontierItem] = []
+        hit_max_states = False
+        for key, schedule, sleep_slots, quiescent, term in children:
+            if len(schedule) > stats.max_depth:
+                stats.max_depth = len(schedule)
+            stored = visited.get(key)
+            if stored is not None:
+                if stored <= sleep_slots:
                     stats.deduped += 1
-                    next_frontier.append(
-                        FrontierItem(
-                            key=key,
-                            schedule=schedule,
-                            sleep=merged,
-                            restrict=tuple(sorted(reopen)),
-                        )
-                    )
                     continue
-                visited[key] = sleep_slots
-                visited_delta.append((key, sleep_slots))
-                stats.explored += 1
-                if quiescent:
-                    stats.terminals += 1
-                    wave_terminal_keys.append(key.hex())
-                    if term is not None:
-                        wave_violations.append(
-                            {
-                                "t": "x",
-                                "kind": "terminal",
-                                "name": term[0],
-                                "msg": term[1],
-                                "sch": list(schedule),
-                            }
-                        )
-                    continue
-                if depth_limit is not None and len(schedule) >= depth_limit:
-                    stats.truncated += 1
-                    complete = False
-                    continue
-                if max_states is not None and stats.explored >= max_states:
-                    hit_max_states = True
-                    break
+                # Sleep-set revisit rule: re-expand exactly what the
+                # stored visit slept through but this path does not.
+                reopen = stored - sleep_slots
+                merged = stored & sleep_slots
+                visited[key] = merged
+                visited_delta.append((key, merged))
+                stats.deduped += 1
                 next_frontier.append(
-                    FrontierItem(key=key, schedule=schedule, sleep=sleep_slots)
+                    FrontierItem(
+                        key=key,
+                        schedule=schedule,
+                        sleep=merged,
+                        restrict=tuple(sorted(reopen)),
+                    )
                 )
-
-            terminal_keys.extend(wave_terminal_keys)
-            violation_records.extend(wave_violations)
-            wave += 1
-            if spill is not None:
-                spill.append_wave(
-                    wave,
-                    visited_delta,
-                    next_frontier,
-                    wave_violations,
-                    wave_terminal_keys,
-                    stats,
-                )
-            frontier = next_frontier
-            if progress is not None:
-                progress(stats)
-            if hit_max_states:
+                continue
+            visited[key] = sleep_slots
+            visited_delta.append((key, sleep_slots))
+            stats.explored += 1
+            if quiescent:
+                stats.terminals += 1
+                wave_terminal_keys.append(key.hex())
+                if term is not None:
+                    wave_violations.append(
+                        {
+                            "t": "x",
+                            "kind": "terminal",
+                            "name": term[0],
+                            "msg": term[1],
+                            "sch": list(schedule),
+                        }
+                    )
+                continue
+            if depth_limit is not None and len(schedule) >= depth_limit:
+                stats.truncated += 1
                 complete = False
+                continue
+            if max_states is not None and stats.explored >= max_states:
+                hit_max_states = True
                 break
-            if wave_violations and stop_at_first:
-                break
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+            next_frontier.append(
+                FrontierItem(key=key, schedule=schedule, sleep=sleep_slots)
+            )
+
+        terminal_keys.extend(wave_terminal_keys)
+        violation_records.extend(wave_violations)
+        wave += 1
+        if spill is not None:
+            spill.append_wave(
+                wave,
+                visited_delta,
+                next_frontier,
+                wave_violations,
+                wave_terminal_keys,
+                stats,
+            )
+        frontier = next_frontier
+        if progress is not None:
+            progress(stats)
+        if hit_max_states:
+            complete = False
+            break
+        if wave_violations and stop_at_first:
+            break
 
     violations = tuple(record_violation(entry) for entry in violation_records)
     if stop_at_first and violations:
@@ -497,23 +416,6 @@ def check_frontier(
     if spill is not None:
         spill.finish(result.to_dict())
     return result
-
-
-def _expand_batch_local(
-    worker: Optional[_FrontierWorker], items: List[FrontierItem]
-) -> Tuple[int, int, List[_Child], List[dict]]:
-    assert worker is not None
-    transitions = 0
-    por_skipped = 0
-    children: List[_Child] = []
-    violations: List[dict] = []
-    for item in items:
-        t, p, c, v = worker.expand(item)
-        transitions += t
-        por_skipped += p
-        children.extend(c)
-        violations.extend(v)
-    return transitions, por_skipped, children, violations
 
 
 def _result_from_dict(

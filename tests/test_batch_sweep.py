@@ -1,4 +1,4 @@
-"""The backend knob end-to-end: sweeps, cache, campaign spec, CLI.
+"""The sweep backend knob end-to-end: sweeps, stores, campaign specs.
 
 The wiring contract: ``backend="batch"`` changes *how* cells are
 computed, never *what* comes out — rows, archived records, content
@@ -18,7 +18,6 @@ from repro.campaign.spec import CampaignSpec
 from repro.errors import ConfigurationError
 from repro.experiments.sweep import SweepSpec, execute_sweep
 from repro.store import RunStore
-from repro.store.cache import cached_run
 
 
 def _sweep(**overrides) -> SweepSpec:
@@ -94,36 +93,56 @@ def test_batch_backend_progress_counts_every_cell():
 
 
 def test_cached_run_backend_batch_same_hash(tmp_path):
+    # A single spec always runs on the object engine, yet a cell that a
+    # batch sweep archived is a hit for it: both engines file the same
+    # record under the same content hash.
     from repro.experiments.sweep import expand_cells
+    from repro.store.cache import cached_run
 
-    spec = expand_cells(_sweep(trials=1))[0].to_experiment_spec()
-    object_store = RunStore(str(tmp_path / "object"))
+    sweep = _sweep(trials=1)
+    spec = expand_cells(sweep)[0].to_experiment_spec()
     batch_store = RunStore(str(tmp_path / "batch"))
-    object_result, object_hit = cached_run(spec, object_store)
-    batch_result, batch_hit = cached_run(spec, batch_store, backend="batch")
-    assert (object_hit, batch_hit) == (False, False)
-    assert object_store.digest() == batch_store.digest()
-    # Second call is a hit regardless of backend.
-    _, hit = cached_run(spec, batch_store, backend="object")
-    assert hit
-    with pytest.raises(ConfigurationError):
-        cached_run(spec, backend="columnar")
+    execute_sweep(sweep, processes=1, store=batch_store, backend="batch")
+    object_store = RunStore(str(tmp_path / "object"))
+    fresh, fresh_hit = cached_run(spec, object_store)
+    archived, archived_hit = cached_run(spec, batch_store)
+    assert (fresh_hit, archived_hit) == (False, True)
+    assert archived == fresh
+    assert object_store.hashes() == [spec.content_hash()]
+    assert (
+        batch_store.get(spec.content_hash()).result
+        == object_store.get(spec.content_hash()).result
+    )
 
 
 def test_campaign_spec_backend_field_round_trip_and_hash_stability():
+    # Specs carry no backend field, so the fleet block and both hashes
+    # are the ones a default-backend spec had while the field existed
+    # (pinned literals, computed before it was removed).
+    spec = CampaignSpec(kind="sweep", sweep=_sweep(trials=1))
+    document = spec.to_dict()
+    assert "backend" not in document["fleet"]
+    loaded = CampaignSpec.from_dict(document)
+    assert loaded == spec
+    assert loaded.content_hash() == spec.content_hash() == (
+        "c123b773f454467774ef9dab8dc38f5f493704db6e27068a7dad8da4bec5b82b"
+    )
+    assert loaded.work_hash() == spec.work_hash() == (
+        "773eec5271f3c38c8d0e1f1f466d0b55b8ea6e0c081df1eff2381e6d003b830e"
+    )
+
+
+def test_archived_campaign_spec_with_backend_loads_with_same_work_hash():
+    # Campaign specs archived while cells could run as batches of one
+    # carry fleet["backend"]; they must still load and resume the same
+    # campaign ledger.
     sweep = _sweep(trials=1)
-    default = CampaignSpec(kind="sweep", sweep=sweep)
-    explicit = CampaignSpec(kind="sweep", sweep=sweep, backend="object")
-    batch = CampaignSpec(kind="sweep", sweep=sweep, backend="batch")
-    # The default backend must not perturb pre-existing content hashes.
-    assert default.content_hash() == explicit.content_hash()
-    assert "backend" not in default.to_dict()["fleet"]
-    # The backend is a fleet knob: work identity ignores it entirely.
-    assert default.work_hash() == batch.work_hash()
-    assert batch.to_dict()["fleet"]["backend"] == "batch"
-    assert CampaignSpec.from_dict(batch.to_dict()).backend == "batch"
-    with pytest.raises(ConfigurationError):
-        CampaignSpec(kind="sweep", sweep=sweep, backend="columnar")
+    current = CampaignSpec(kind="sweep", sweep=sweep)
+    archived = current.to_dict()
+    archived["fleet"]["backend"] = "batch"
+    loaded = CampaignSpec.from_dict(archived)
+    assert loaded.work_hash() == current.work_hash()
+    assert loaded == current
 
 
 @settings(max_examples=10, deadline=None)

@@ -111,6 +111,18 @@ class TestCampaignCommand:
         assert code == 0
         assert "4 cached" in out
 
+    def test_removed_backend_flag_is_a_usage_error(self, tmp_path, capsys):
+        # Cells always run on the object engine; the retired fleet knob
+        # fails loudly rather than being silently ignored.
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["campaign", *SWEEP_FLAGS, "--backend", "batch",
+                 "--store", str(tmp_path / "store")]
+            )
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
+
     def test_rejects_bad_chaos_spec(self, tmp_path, capsys):
         code = main(
             ["campaign", *SWEEP_FLAGS, "--chaos", "frobnicate=1",

@@ -225,19 +225,46 @@ class TestMcCommand:
     def test_mc_jobs_matches_serial(self, capsys):
         import json
 
-        main(["mc", "--n", "6", "--k", "2", "--json"])
-        serial = json.loads(capsys.readouterr().out)
-        code = main(["mc", "--n", "6", "--k", "2", "--json", "--jobs", "2"])
-        parallel = json.loads(capsys.readouterr().out)
-        assert code == 0
-        serial.pop("jobs"), parallel.pop("jobs")
-        assert parallel == serial
+        # A grid fans placements; a single configuration (clean, or the
+        # wake_race bug placement) runs the DFS whatever --jobs says.
+        for instance, expected_code in [
+            (["--n", "6", "--k", "2"], 0),
+            (["--algorithm", "unknown", "--distances", "3,5"], 0),
+            (["--algorithm", "wake_race", "--distances", "1,2,5"], 1),
+        ]:
+            code = main(["mc", *instance, "--json"])
+            serial = json.loads(capsys.readouterr().out)
+            assert code == expected_code, instance
+            code = main(["mc", *instance, "--json", "--jobs", "2"])
+            parallel = json.loads(capsys.readouterr().out)
+            assert code == expected_code, instance
+            assert (serial.pop("jobs"), parallel.pop("jobs")) == (1, 2)
+            assert parallel == serial, instance
 
-    def test_mc_rejects_bad_jobs_and_bare_resume(self, capsys):
+    def test_mc_store_matches_unspilled_run(self, capsys, tmp_path):
+        # --store runs the single-process spilled frontier; its document
+        # equals the unspilled search's for the same configuration.
+        import json
+
+        instance = ["mc", "--algorithm", "unknown", "--distances", "3,5", "--json"]
+        assert main(instance) == 0
+        unspilled = json.loads(capsys.readouterr().out)
+        assert main([*instance, "--store", str(tmp_path)]) == 0
+        spilled = json.loads(capsys.readouterr().out)
+        assert spilled == unspilled
+        assert list((tmp_path / "mc").iterdir())  # one journal directory
+
+    def test_mc_rejects_bad_jobs_and_bare_resume(self, capsys, tmp_path):
         assert main(["mc", "--n", "6", "--k", "2", "--jobs", "0"]) == 2
         assert "error:" in capsys.readouterr().err
         assert main(["mc", "--n", "6", "--k", "2", "--resume"]) == 2
         assert "error:" in capsys.readouterr().err
+        code = main(
+            ["mc", "--n", "6", "--k", "2", "--store", str(tmp_path), "--jobs", "2"]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "mc").exists()  # rejected before any spill
 
     def test_mc_explicit_distances(self, capsys):
         code = main(["mc", "--algorithm", "unknown", "--distances", "2,4"])

@@ -423,19 +423,6 @@ class TestFaultyModelChecking:
         assert reduced.explored == full.explored
         assert sorted(reduced.terminal_keys) == sorted(full.terminal_keys)
 
-    def test_frontier_verdict_is_jobs_invariant(self):
-        placement = self._placement()
-        links = LinkSpec(delay=1, seed=0)
-        one = check_frontier(
-            "unknown", placement, jobs=1, stop_at_first=False, links=links
-        )
-        two = check_frontier(
-            "unknown", placement, jobs=2, stop_at_first=False, links=links
-        )
-        assert one.verdict == two.verdict == "ok"
-        assert one.explored == two.explored
-        assert one.terminals == two.terminals
-
     def test_frontier_agrees_with_dfs(self):
         placement = self._placement()
         links = LinkSpec(delay=1, seed=0)
@@ -443,10 +430,11 @@ class TestFaultyModelChecking:
             "unknown", placement, por=False, stop_at_first=False, links=links
         )
         bfs = check_frontier(
-            "unknown", placement, jobs=1, stop_at_first=False, links=links
+            "unknown", placement, stop_at_first=False, links=links
         )
-        assert dfs.verdict == bfs.verdict
+        assert dfs.verdict == bfs.verdict == "ok"
         assert dfs.explored == bfs.explored
+        assert dfs.terminals == bfs.terminals
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +545,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "under link faults" in out
+
+    def test_mc_jobs_parity_under_link_faults(self, capsys):
+        from repro.cli import main
+
+        # A grid fans placements across the pool, a single configuration
+        # runs the serial search; either way --jobs changes nothing else.
+        for instance in (["--n", "5", "--k", "2"], ["--distances", "2,3"]):
+            documents = []
+            for jobs in ("1", "2"):
+                code = main(
+                    ["mc", "--algorithm", "unknown", *instance,
+                     "--links", "delay=1", "--keep-going", "--json",
+                     "--jobs", jobs]
+                )
+                assert code == 0, instance
+                documents.append(json.loads(capsys.readouterr().out))
+            assert [document.pop("jobs") for document in documents] == [1, 2]
+            assert documents[0] == documents[1], instance
 
     def test_query_compact(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,17 +1,17 @@
-"""Parallel frontier driver and disk spill: parity, resume, SIGKILL.
+"""Frontier driver, placement pool and disk spill: parity, resume, SIGKILL.
 
-The wave-synchronous driver advertises three strong guarantees, each
-pinned here:
+The breadth-first frontier driver advertises two strong guarantees,
+each pinned here:
 
-* **Serial parity** — ``check_frontier(jobs=1)`` matches the DFS of
+* **Serial parity** — ``check_frontier`` matches the DFS of
   ``check_interleavings`` on every cumulative counter and on the
   terminal-state key set.
-* **Jobs invariance** — ``jobs=2`` reports numbers byte-identical to
-  ``jobs=1`` (the merge order is globally sorted, not arrival order).
 * **Resumability** — a spilled check killed at an arbitrary point (a
   torn journal tail, or a real ``SIGKILL`` of the CLI process mid-run)
   resumes from the last committed wave and finishes with the *same*
   verdict and cumulative stats as an uninterrupted run.
+
+The placement pool must return the serial grid's results, in order.
 """
 
 from __future__ import annotations
@@ -60,13 +60,13 @@ def _spill_for(store: Path, algorithm: str, placement: Placement) -> FrontierSpi
 
 
 # ----------------------------------------------------------------------
-# Parity with the serial DFS, and jobs invariance
+# Parity with the serial DFS
 # ----------------------------------------------------------------------
 
 
 def test_frontier_matches_serial_dfs():
     serial = check_interleavings("unknown", PLACEMENT)
-    frontier = check_frontier("unknown", PLACEMENT, jobs=1)
+    frontier = check_frontier("unknown", PLACEMENT)
     assert frontier.ok and serial.ok
     assert frontier.explored == serial.explored
     assert frontier.terminals == serial.terminals
@@ -74,16 +74,10 @@ def test_frontier_matches_serial_dfs():
     assert frontier.max_depth == serial.max_depth
 
 
-def test_frontier_stats_invariant_in_jobs():
-    one = check_frontier("unknown", PLACEMENT, jobs=1)
-    two = check_frontier("unknown", PLACEMENT, jobs=2)
-    assert one.to_dict() == two.to_dict()
-
-
 def test_frontier_no_por_matches_por_observables():
-    reduced = check_frontier("known_k_full", Placement(6, homes=(0, 2)), jobs=1)
+    reduced = check_frontier("known_k_full", Placement(6, homes=(0, 2)))
     full = check_frontier(
-        "known_k_full", Placement(6, homes=(0, 2)), jobs=1, por=False
+        "known_k_full", Placement(6, homes=(0, 2)), por=False
     )
     assert reduced.explored == full.explored
     assert reduced.terminal_keys == full.terminal_keys
@@ -91,26 +85,15 @@ def test_frontier_no_por_matches_por_observables():
 
 
 def test_frontier_respects_max_states():
-    result = check_frontier("unknown", PLACEMENT, jobs=1, max_states=50)
+    result = check_frontier("unknown", PLACEMENT, max_states=50)
     assert not result.complete
     assert result.explored <= 50 + 1
 
 
-def test_frontier_rejects_factory_with_jobs():
-    with pytest.raises(ValueError):
-        check_frontier(
-            "wake_race(known_k_logspace)",
-            BUG_PLACEMENT,
-            jobs=2,
-            factory=lambda: wake_race_agents(3),
-        )
-
-
-def test_wake_race_found_by_parallel_frontier_and_replays():
+def test_wake_race_found_by_frontier_and_replays():
     result = check_frontier(
         "wake_race",
         BUG_PLACEMENT,
-        jobs=2,
         require_halted=False,
         require_suspended=True,
     )
@@ -124,6 +107,23 @@ def test_wake_race_found_by_parallel_frontier_and_replays():
         require_suspended=False,
     )
     assert messages  # the schedule replays deterministically to a report
+
+
+def test_frontier_runs_agent_factory_in_process():
+    # Factories are in-process closures; the serial frontier takes one
+    # directly and agrees with the DFS driven by the same factory.
+    options = dict(
+        factory=lambda: wake_race_agents(3),
+        require_halted=False,
+        require_suspended=True,
+        stop_at_first=False,
+    )
+    label = "wake_race(known_k_logspace)"
+    frontier = check_frontier(label, BUG_PLACEMENT, **options)
+    serial = check_interleavings(label, BUG_PLACEMENT, **options)
+    assert frontier.verdict == serial.verdict == "violation"
+    assert frontier.explored == serial.explored
+    assert sorted(frontier.terminal_keys) == sorted(serial.terminal_keys)
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +154,7 @@ def test_placement_pool_rejects_factory():
 
 def test_spill_writes_journal_and_result(tmp_path):
     result = check_frontier(
-        "unknown", PLACEMENT, jobs=1, store_root=str(tmp_path)
+        "unknown", PLACEMENT, store_root=str(tmp_path)
     )
     spill = _spill_for(tmp_path, "unknown", PLACEMENT)
     directory = tmp_path / "mc" / spill.hash
@@ -167,23 +167,23 @@ def test_spill_writes_journal_and_result(tmp_path):
 
 
 def test_resume_of_completed_check_short_circuits(tmp_path):
-    first = check_frontier("unknown", PLACEMENT, jobs=1, store_root=str(tmp_path))
+    first = check_frontier("unknown", PLACEMENT, store_root=str(tmp_path))
     spill = _spill_for(tmp_path, "unknown", PLACEMENT)
     journal = tmp_path / "mc" / spill.hash / "journal.jsonl"
     before = journal.stat().st_size
     again = check_frontier(
-        "unknown", PLACEMENT, jobs=1, store_root=str(tmp_path), resume=True
+        "unknown", PLACEMENT, store_root=str(tmp_path), resume=True
     )
     assert again.to_dict() == first.to_dict()
     assert journal.stat().st_size == before  # nothing re-explored
 
 
 def test_restart_without_resume_wipes_and_reruns(tmp_path):
-    first = check_frontier("unknown", PLACEMENT, jobs=1, store_root=str(tmp_path))
+    first = check_frontier("unknown", PLACEMENT, store_root=str(tmp_path))
     spill = _spill_for(tmp_path, "unknown", PLACEMENT)
     marker = tmp_path / "mc" / spill.hash / "stale-file"
     marker.write_text("stale")
-    second = check_frontier("unknown", PLACEMENT, jobs=1, store_root=str(tmp_path))
+    second = check_frontier("unknown", PLACEMENT, store_root=str(tmp_path))
     assert second.to_dict() == first.to_dict()
     assert not marker.exists()  # start_fresh wiped the directory
 
@@ -208,36 +208,41 @@ def _truncate_journal(journal: Path, keep_commits: int, garbage: str) -> None:
     ids=["mid-line-kill", "corrupt-line", "clean-commit-boundary"],
 )
 def test_torn_journal_resumes_to_identical_result(tmp_path, garbage):
-    clean = check_frontier("unknown", PLACEMENT, jobs=1, store_root=str(tmp_path))
+    clean = check_frontier("unknown", PLACEMENT, store_root=str(tmp_path))
     spill = _spill_for(tmp_path, "unknown", PLACEMENT)
     directory = tmp_path / "mc" / spill.hash
     _truncate_journal(directory / "journal.jsonl", keep_commits=6, garbage=garbage)
     (directory / "result.json").unlink()
     resumed = check_frontier(
-        "unknown", PLACEMENT, jobs=1, store_root=str(tmp_path), resume=True
+        "unknown", PLACEMENT, store_root=str(tmp_path), resume=True
     )
     assert resumed.to_dict() == clean.to_dict()
 
 
-def test_torn_journal_resumes_under_different_jobs(tmp_path):
-    # The check hash excludes `jobs` by design: a run journaled at
-    # jobs=1 must resume under jobs=2 with identical results.
-    clean = check_frontier("unknown", PLACEMENT, jobs=1, store_root=str(tmp_path))
+def test_torn_journal_resumes_through_cli(tmp_path, capsys):
+    # The check hash is independent of the entry point: a journal the
+    # library spilled resumes under `repro mc --store --resume`.
+    from repro.cli import main
+
+    clean = check_frontier("unknown", PLACEMENT, store_root=str(tmp_path))
     spill = _spill_for(tmp_path, "unknown", PLACEMENT)
     directory = tmp_path / "mc" / spill.hash
     _truncate_journal(directory / "journal.jsonl", keep_commits=4, garbage="")
     (directory / "result.json").unlink()
-    resumed = check_frontier(
-        "unknown", PLACEMENT, jobs=2, store_root=str(tmp_path), resume=True
+    code = main(
+        ["mc", "--algorithm", "unknown", "--n", "8", "--distances", "3,5",
+         "--store", str(tmp_path), "--resume", "--json"]
     )
-    assert resumed.to_dict() == clean.to_dict()
+    assert code == 0
+    cell = json.loads(capsys.readouterr().out)["results"][0]
+    assert cell == clean.to_dict()
+    assert (directory / "result.json").exists()
 
 
 def test_resumed_violation_is_not_reexplored(tmp_path):
     found = check_frontier(
         "wake_race",
         BUG_PLACEMENT,
-        jobs=1,
         require_halted=False,
         require_suspended=True,
         store_root=str(tmp_path),
@@ -246,7 +251,6 @@ def test_resumed_violation_is_not_reexplored(tmp_path):
     again = check_frontier(
         "wake_race",
         BUG_PLACEMENT,
-        jobs=1,
         require_halted=False,
         require_suspended=True,
         store_root=str(tmp_path),
@@ -324,7 +328,7 @@ def test_sigkill_mid_check_resumes_to_identical_verdict(tmp_path):
     assert resumed.returncode == 0, resumed.stderr
     document = json.loads(resumed.stdout)
 
-    clean = check_frontier("unknown", Placement(10, homes=(0, 3, 7)), jobs=1)
+    clean = check_frontier("unknown", Placement(10, homes=(0, 3, 7)))
     cell = document["results"][0]
     assert document["ok"] is True
     assert cell["verdict"] == "ok"

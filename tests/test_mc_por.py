@@ -152,7 +152,6 @@ def test_wake_race_still_caught_with_por_frontier():
     result = check_frontier(
         "wake_race",
         BUG_PLACEMENT,
-        jobs=1,
         require_halted=False,
         require_suspended=True,
     )

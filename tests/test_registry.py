@@ -240,54 +240,27 @@ class TestAlgorithmsCompatView:
             ALGORITHMS["nope"]
         assert "nope" not in ALGORITHMS
 
-    def test_mutation_warns_and_forwards_to_registry(self):
-        from repro.core.unknown import UnknownKAgent
-
-        with pytest.warns(DeprecationWarning):
-            ALGORITHMS["compat_test"] = (
-                lambda k, n: UnknownKAgent(),
-                False,
-                "legacy-registered",
-            )
-        try:
-            assert get_algorithm("compat_test").halts is False
-            assert ALGORITHMS["compat_test"][2] == "legacy-registered"
-        finally:
-            with pytest.warns(DeprecationWarning):
-                del ALGORITHMS["compat_test"]
+    def test_view_is_read_only(self):
+        with pytest.raises(TypeError):
+            ALGORITHMS["compat_test"] = (None, False, "legacy")
+        with pytest.raises(TypeError):
+            del ALGORITHMS["known_k_full"]
         assert "compat_test" not in ALGORITHMS
+        assert "known_k_full" in ALGORITHMS
 
     def test_bad_legacy_tuple_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                ALGORITHMS["compat_test"] = "not a tuple"
+        # With the write path gone, no legacy tuple — malformed or
+        # well-formed — gets through the view into the registry.
+        from repro.core.unknown import UnknownKAgent
 
-
-class TestDeprecatedSweepAliases:
-    def test_make_scheduler_warns_and_delegates(self):
-        from repro.experiments.sweep import make_scheduler
-
-        with pytest.warns(DeprecationWarning):
-            scheduler = make_scheduler("laggard", 3)
-        assert scheduler.describe() == "LaggardScheduler(laggards=[0], patience=100)"
-
-    def test_scheduler_specs_view_builds_through_registry(self):
-        from repro.experiments.sweep import SCHEDULER_SPECS
-
-        assert set(SCHEDULER_SPECS) == set(scheduler_names())
-        scheduler = SCHEDULER_SPECS["burst"](7)
-        assert scheduler.describe() == "BurstScheduler(burst=40)"
-
-    def test_scheduler_specs_view_keeps_mapping_contract(self):
-        # Legacy membership tests and .get() must see dict semantics,
-        # not a domain error leaking out of the registry parser.
-        from repro.experiments.sweep import SCHEDULER_SPECS
-
-        with pytest.raises(KeyError):
-            SCHEDULER_SPECS["nope"]
-        assert "nope" not in SCHEDULER_SPECS
-        assert SCHEDULER_SPECS.get("nope") is None
-        assert "sync" in SCHEDULER_SPECS
+        for value in (
+            "not a tuple",
+            (lambda k, n: UnknownKAgent(), False, "legacy-registered"),
+        ):
+            with pytest.raises(TypeError):
+                ALGORITHMS["compat_test"] = value
+        with pytest.raises(ConfigurationError):
+            get_algorithm("compat_test")
 
 
 class TestRegistryDump:

@@ -204,6 +204,24 @@ class TestJobEndpoints:
         assert done["result"]["cached"] is True
         assert done["result"]["content_hash"] == spec.content_hash()
 
+    def test_experiment_job_ignores_legacy_backend_option(self, api):
+        # Clients written when one experiment could run as a batch of one
+        # may still send options.backend; the job runs on the object
+        # engine and archives the usual record.
+        spec = _spec(seed=13)
+        status, job = _submit(
+            api, "experiment", spec.to_dict(), {"backend": "batch"}
+        )
+        assert status == 202
+        done = _wait_for(api, job["id"])
+        assert done["state"] == "completed"
+        assert done["result"]["cached"] is False
+        assert done["result"]["content_hash"] == spec.content_hash()
+        status, record = api.handle("GET", f"/v1/runs/{spec.content_hash()}")
+        assert status == 200
+        expected = run_experiment(spec).to_record(spec)
+        assert record["result"] == expected.result
+
     def test_jobs_listing_is_oldest_first(self, api):
         spec = _spec(seed=12)
         _submit(api, "experiment", spec.to_dict())

@@ -9,13 +9,12 @@ from repro.errors import ConfigurationError
 from repro.experiments.runner import build_engine, run_experiment
 from repro.experiments.serialize import (
     load_results,
-    result_from_dict,
-    result_to_dict,
     results_from_json,
     results_to_json,
     save_results,
 )
 from repro.ring.placement import Placement, equidistant_placement
+from repro.store.records import result_from_payload, result_to_payload
 
 
 class TestTimeline:
@@ -62,7 +61,7 @@ class TestSerialization:
 
     def test_round_trip_dict(self):
         original = self._result()
-        rebuilt = result_from_dict(result_to_dict(original))
+        rebuilt = result_from_payload(result_to_payload(original))
         assert rebuilt == original
 
     def test_round_trip_json(self):
@@ -83,7 +82,7 @@ class TestSerialization:
 
     def test_missing_key_rejected(self):
         with pytest.raises(ConfigurationError):
-            result_from_dict({"algorithm": "known_k_full"})
+            result_from_payload({"algorithm": "known_k_full"})
 
     def test_json_is_stable(self):
         results = [self._result()]
