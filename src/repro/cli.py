@@ -555,13 +555,15 @@ def build_parser() -> argparse.ArgumentParser:
     mc_parser.add_argument(
         "--store", default=None, metavar="DIR",
         help=(
-            "spill the frontier + visited memo to DIR/mc/<check-hash>/ "
-            "every wave so a killed check can be resumed (single process)"
+            "checkpoint the search's stack + visited memo to "
+            "DIR/mc/<check-hash>/ so a killed check can be resumed "
+            "(same search and verdicts, cycle detection included; "
+            "single process)"
         ),
     )
     mc_parser.add_argument(
         "--resume", action="store_true",
-        help="continue a killed --store run from its last committed wave",
+        help="continue a killed --store run from its last checkpoint",
     )
 
     fuzz_parser = commands.add_parser(
@@ -1093,12 +1095,7 @@ def _command_timeline(args: argparse.Namespace) -> int:
 
 
 def _command_mc(args: argparse.Namespace) -> int:
-    from repro.mc import (
-        all_placements,
-        check_frontier,
-        check_interleavings,
-        check_placements_pool,
-    )
+    from repro.mc import all_placements, check_interleavings, exhaust_placements
 
     if args.jobs < 1:
         raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
@@ -1108,15 +1105,16 @@ def _command_mc(args: argparse.Namespace) -> int:
         raise ReproError("--store runs in a single process; drop --jobs")
     por = not args.no_por
     links = args.links
+    placement = None  # one configuration; None checks the (n, k) grid
     if args.spec:
         experiment = ExperimentSpec.load(args.spec)
         algorithm = experiment.algorithm
-        placements = [experiment.build_placement()]
+        placement = experiment.build_placement()
         links = experiment.links  # the spec's fault model, not the flag's
         scope = f"1 configuration from spec {args.spec}"
     elif args.distances:
         algorithm = args.algorithm
-        placements = [placement_from_distances(tuple(args.distances))]
+        placement = placement_from_distances(tuple(args.distances))
         scope = "1 explicit configuration"
     else:
         algorithm = args.algorithm
@@ -1124,14 +1122,16 @@ def _command_mc(args: argparse.Namespace) -> int:
             raise ReproError(
                 f"k must be in [1, n]: got k={args.k}, n={args.n}"
             )
-        placements = list(all_placements(args.n, args.k))
+        count = sum(1 for _ in all_placements(args.n, args.k))
         scope = (
-            f"all {len(placements)} rotation-distinct placements "
+            f"all {count} rotation-distinct placements "
             "(one home fixed at node 0)"
         )
     get_algorithm(algorithm)  # fail fast with the registry's error message
-    n = placements[0].ring_size
-    k = placements[0].agent_count
+    if placement is None:
+        n, k = args.n, args.k
+    else:
+        n, k = placement.ring_size, placement.agent_count
     progress = None
     if args.progress and not args.json:
         progress = lambda stats: print(  # noqa: E731 - tiny local callback
@@ -1141,39 +1141,24 @@ def _command_mc(args: argparse.Namespace) -> int:
         links = None
     if links is not None:
         por = False  # the reduction is unsound under faults (repro.mc.por)
-    limits = {
+    options = {
         "depth_limit": args.depth_limit,
         "max_states": args.max_states,
         "stop_at_first": not args.keep_going,
         "por": por,
         "links": links,
+        "progress": progress,
+        # One resumable journal per placement, keyed by check-spec hash.
+        "store_root": args.store,
+        "resume": args.resume,
     }
     if not args.json:
         faulty = f" under link faults ({links.describe()})" if links else ""
         print(f"model checking {algorithm} on n={n} k={k}: {scope}{faulty}")
-    if args.store is not None:
-        # Spilled frontier exploration; one resumable journal per
-        # placement, keyed by check-spec hash.
-        results = [
-            check_frontier(
-                algorithm,
-                placement,
-                store_root=args.store,
-                resume=args.resume,
-                progress=progress,
-                **limits,
-            )
-            for placement in placements
-        ]
-    elif args.jobs > 1 and len(placements) > 1:
-        results = check_placements_pool(
-            algorithm, placements, jobs=args.jobs, **limits
-        )
+    if placement is None:
+        results = exhaust_placements(algorithm, n, k, jobs=args.jobs, **options)
     else:
-        results = [
-            check_interleavings(algorithm, placement, progress=progress, **limits)
-            for placement in placements
-        ]
+        results = [check_interleavings(algorithm, placement, **options)]
 
     violations = [v for result in results for v in result.violations]
     complete = all(result.complete for result in results)
@@ -1202,10 +1187,10 @@ def _command_mc(args: argparse.Namespace) -> int:
         return 1 if (violations or not complete) else 0
 
     rows = []
-    for placement, result in zip(placements, results):
+    for result in results:
         rows.append(
             {
-                "D": "-".join(str(d) for d in placement.distances),
+                "D": "-".join(str(d) for d in result.placement.distances),
                 "states": result.explored,
                 "transitions": result.transitions,
                 "deduped": result.deduped,

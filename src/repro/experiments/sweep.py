@@ -424,7 +424,15 @@ def execute_sweep(
     pool_pending = pending
     batch_groups: List[List[Tuple[int, SweepCell]]] = []
     if backend == "batch" and pending:
-        from repro.sim.batch import batch_supported, run_batch
+        try:
+            from repro.sim.batch import batch_supported, run_batch
+        except ModuleNotFoundError as error:
+            if error.name != "numpy":
+                raise
+            raise ConfigurationError(
+                "backend 'batch' needs numpy, which is not installed "
+                "(install the 'batch' extra, or use backend 'object')"
+            ) from None
 
         grouped: Dict[Tuple[object, ...], List[Tuple[int, SweepCell]]] = {}
         pool_pending = []

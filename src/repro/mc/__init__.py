@@ -11,13 +11,13 @@ checking safety properties on every edge and uniform deployment on
 every terminal state, and emitting any violating path as a replayable
 schedule.
 
-Entry points: :func:`check_interleavings` (one placement),
+Entry points: :func:`check_interleavings` (one placement; the only
+code that explores a state graph, optionally checkpointed to a
+resumable journal with ``store_root`` — see :mod:`repro.mc.frontier`),
 :func:`exhaust_placements` (all placements of an ``(n, k)``, optionally
 fanned across a process pool — the checker's only process
-parallelism), :func:`check_frontier` (serial breadth-first exploration
-with an optional disk-spilled, resumable frontier),
-:func:`replay_counterexample` (deterministic reproduction), and the
-``repro mc`` CLI command.
+parallelism), :func:`replay_counterexample` (deterministic
+reproduction), and the ``repro mc`` CLI command.
 
 Exploration applies the sleep-set partial-order reduction of
 :mod:`repro.mc.por` by default: redundant interleavings of commuting
@@ -42,14 +42,13 @@ from repro.mc.checker import (
     exhaust_placements,
     replay_counterexample,
 )
-from repro.mc.frontier import FrontierItem, FrontierSpill, check_hash, check_spec
+from repro.mc.frontier import FrontierSpill, check_hash, check_spec
 from repro.mc.oracle import (
     PropertyOracle,
     ReplayOutcome,
     Violation,
     drive_schedule,
 )
-from repro.mc.parallel import check_frontier, check_placements_pool
 from repro.mc.por import action_node, conflict, sleep_after
 from repro.mc.properties import (
     EnabledSetConsistency,
@@ -73,14 +72,11 @@ __all__ = [
     "PropertyOracle",
     "ReplayOutcome",
     "Violation",
-    "FrontierItem",
     "FrontierSpill",
     "action_node",
     "all_placements",
-    "check_frontier",
     "check_hash",
     "check_interleavings",
-    "check_placements_pool",
     "check_spec",
     "conflict",
     "drive_schedule",

@@ -22,11 +22,17 @@ Every violation is emitted as a :class:`Counterexample` whose
 feed it to :class:`repro.sim.scheduler.ReplayScheduler` (or
 :func:`replay_counterexample`) to reproduce the violation
 deterministically, event for event.
+
+With ``store_root`` the search checkpoints its memo and stack to a
+journal (:mod:`repro.mc.frontier`) every :data:`CHECKPOINT_EVERY`
+transitions, and ``resume=True`` continues a killed check from the last
+checkpoint by replaying the stack's path once from the root.
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -37,6 +43,7 @@ from typing import (
     Tuple,
 )
 
+from repro.mc.frontier import FrontierSpill, ResumeState, check_spec
 from repro.mc.por import agents_of_slots, sleep_after, slots_of_agents
 from repro.mc.properties import (
     SafetyProperty,
@@ -60,6 +67,10 @@ __all__ = [
 ]
 
 AgentsFactory = Callable[[], Sequence[Agent]]
+
+#: Transitions between two journal checkpoints of a ``store_root`` check.
+#: Fixed, so a check's journal is a deterministic function of its spec.
+CHECKPOINT_EVERY = 250
 
 
 @dataclass(frozen=True)
@@ -93,6 +104,28 @@ class Counterexample:
             f"ReplayScheduler({list(self.schedule)}) on "
             f"Placement(ring_size={self.placement.ring_size}, "
             f"homes={self.placement.homes}) with {self.algorithm!r}"
+        )
+
+    def to_dict(self) -> dict:
+        """The violation entry of :meth:`MCResult.to_dict`."""
+        return {
+            "kind": self.kind,
+            "property": self.property_name,
+            "message": self.message,
+            "schedule": list(self.schedule),
+        }
+
+    @classmethod
+    def from_dict(
+        cls, entry: dict, algorithm: str, placement: Placement
+    ) -> "Counterexample":
+        return cls(
+            algorithm=algorithm,
+            placement=placement,
+            schedule=tuple(entry["schedule"]),
+            kind=entry["kind"],
+            property_name=entry["property"],
+            message=entry["message"],
         )
 
 
@@ -143,6 +176,32 @@ class MCResult:
             f"max depth {self.max_depth} -> {verdict}"
         )
 
+    @classmethod
+    def from_dict(cls, record: dict) -> "MCResult":
+        """Rebuild a result from :meth:`to_dict` output (a stored ``result.json``)."""
+        placement = Placement(
+            ring_size=record["placement"]["ring_size"],
+            homes=tuple(record["placement"]["homes"]),
+        )
+        algorithm = record["algorithm"]
+        return cls(
+            algorithm=algorithm,
+            placement=placement,
+            explored=record["explored"],
+            transitions=record["transitions"],
+            deduped=record["deduped"],
+            terminals=record["terminals"],
+            max_depth=record["max_depth"],
+            complete=record["complete"],
+            violations=tuple(
+                Counterexample.from_dict(entry, algorithm, placement)
+                for entry in record["violations"]
+            ),
+            por_skipped=record["por_skipped"],
+            memo_bytes=record["memo_bytes"],
+            terminal_keys=tuple(record["terminal_keys"]),
+        )
+
     def to_dict(self) -> dict:
         """A JSON-serialisable record (``repro mc --json``, CI artifacts)."""
         return {
@@ -162,15 +221,7 @@ class MCResult:
             "max_depth": self.max_depth,
             "memo_bytes": self.memo_bytes,
             "terminal_keys": list(self.terminal_keys),
-            "violations": [
-                {
-                    "kind": violation.kind,
-                    "property": violation.property_name,
-                    "message": violation.message,
-                    "schedule": list(violation.schedule),
-                }
-                for violation in self.violations
-            ],
+            "violations": [violation.to_dict() for violation in self.violations],
         }
 
 
@@ -223,6 +274,8 @@ def check_interleavings(
     links: Optional[LinkSpec] = None,
     progress: Optional[Callable[[SearchStats], None]] = None,
     progress_every: int = 5000,
+    store_root: Optional[str] = None,
+    resume: bool = False,
 ) -> MCResult:
     """Exhaust every fair interleaving from ``placement`` under ``algorithm``.
 
@@ -250,6 +303,14 @@ def check_interleavings(
     fault-aware variants.  Sleep sets are unsound under the shared
     fault-draw stream (see :mod:`repro.mc.por`), so an active spec
     forces full expansion regardless of ``por``.
+
+    ``store_root`` journals the search to ``<store_root>/mc/<check-hash>/``
+    (:mod:`repro.mc.frontier`): a checkpoint every
+    :data:`CHECKPOINT_EVERY` transitions and ``result.json`` at the end.
+    ``resume=True`` returns a finished check's stored result, or
+    continues a killed one from its last checkpoint; either way the
+    result equals the uninterrupted, unspilled search's.  Without
+    ``resume`` any previous journal for the same check is wiped.
     """
     n, k = placement.ring_size, placement.agent_count
     if links is not None and not links.active:
@@ -265,16 +326,32 @@ def check_interleavings(
         else tuple(terminal)
     )
 
-    root = _make_engine(algorithm, placement, factory, links)
-    root_key = root.snapshot().canonical_key()
-    stats = SearchStats(explored=1)
-    # visited maps canonical key -> sleep slots the state was (last)
-    # explored under; an empty set means it was fully expanded.
-    visited: dict = {root_key: frozenset()}
-    on_path = {root_key}
-    terminal_keys: List[str] = []
+    spill: Optional[FrontierSpill] = None
+    resumed: Optional[ResumeState] = None
+    if store_root is not None:
+        spill = FrontierSpill(
+            store_root,
+            check_spec(
+                algorithm,
+                placement,
+                por=por,
+                depth_limit=depth_limit,
+                max_states=max_states,
+                stop_at_first=stop_at_first,
+                safety_props=safety_props,
+                terminal_props=terminal_props,
+                links=links,
+            ),
+        )
+        if resume:
+            stored = spill.load_result()
+            if stored is not None:
+                return MCResult.from_dict(stored)
+            resumed = spill.resume_state()
+        if resumed is None:
+            spill.start_fresh()
+
     violations: List[Counterexample] = []
-    complete = True
 
     def record(kind: str, name: str, message: str, schedule: Tuple[int, ...]) -> None:
         violations.append(
@@ -288,16 +365,55 @@ def check_interleavings(
             )
         )
 
-    stack: List[Frame] = [
-        Frame(
-            engine=root,
-            key=root_key,
-            schedule=(),
-            choices=list(reversed(root.enabled_agents())),
+    root = _make_engine(algorithm, placement, factory, links)
+    if resumed is None:
+        root_key = root.snapshot().canonical_key()
+        stats = SearchStats(explored=1)
+        # visited maps canonical key -> sleep slots the state was (last)
+        # explored under; an empty set means it was fully expanded.
+        visited: dict = {root_key: frozenset()}
+        terminal_keys: List[str] = []
+        stack: List[Frame] = [
+            Frame(
+                engine=root,
+                key=root_key,
+                schedule=(),
+                choices=list(reversed(root.enabled_agents())),
+            )
+        ]
+    else:
+        stats = resumed.stats
+        visited = resumed.visited
+        terminal_keys = resumed.terminal_keys
+        violations.extend(
+            Counterexample.from_dict(entry, algorithm, placement)
+            for entry in resumed.violations
         )
-    ]
+        stack = _replay_stack(root, resumed)
+    on_path = {frame.key for frame in stack}
+    complete = not stats.truncated
+    # Memo writes since the last checkpoint (None: no journal).
+    dirty: Optional[dict] = None
+    if spill is not None:
+        dirty = {} if resumed is not None else dict(visited)
+        journaled_terminals = len(terminal_keys)
+        journaled_violations = len(violations)
+        next_checkpoint = stats.transitions + CHECKPOINT_EVERY
 
     while stack:
+        if dirty is not None and stats.transitions >= next_checkpoint:
+            spill.append_checkpoint(
+                dirty,
+                terminal_keys[journaled_terminals:],
+                [v.to_dict() for v in violations[journaled_violations:]],
+                stack[-1].schedule,
+                [(f.choices, sorted(f.slept)) for f in stack],
+                stats,
+            )
+            dirty = {}
+            journaled_terminals = len(terminal_keys)
+            journaled_violations = len(violations)
+            next_checkpoint = stats.transitions + CHECKPOINT_EVERY
         frame = stack[-1]
         if not frame.choices:
             on_path.discard(frame.key)
@@ -359,6 +475,8 @@ def check_interleavings(
             # monotonically, so this terminates).
             reopen = stored - sleep_slots
             visited[key] = stored & sleep_slots
+            if dirty is not None:
+                dirty[key] = visited[key]
             stats.deduped += 1
             reopen_agents = sorted(agents_of_slots(snapshot, reopen))
             enabled = child.enabled_agents()
@@ -376,6 +494,8 @@ def check_interleavings(
             continue
         sleep_slots = slots_of_agents(snapshot, child_sleep)
         visited[key] = sleep_slots
+        if dirty is not None:
+            dirty[key] = sleep_slots
         stats.explored += 1
 
         if child.quiescent:
@@ -421,7 +541,7 @@ def check_interleavings(
         complete = False  # the search stopped early by design
 
     stats.memo_bytes = sum(16 + 8 * len(slots) for slots in visited.values())
-    return MCResult(
+    result = MCResult(
         algorithm=algorithm,
         placement=placement,
         explored=stats.explored,
@@ -435,6 +555,38 @@ def check_interleavings(
         memo_bytes=stats.memo_bytes,
         terminal_keys=tuple(sorted(terminal_keys)),
     )
+    if spill is not None:
+        spill.finish(result.to_dict())
+    return result
+
+
+def _replay_stack(root: Engine, resumed: ResumeState) -> List[Frame]:
+    """Rebuild a checkpointed DFS stack by replaying its path once.
+
+    Frame ``i`` sits at ``resumed.schedule[:i]``.  The root engine walks
+    the path; a frame that still has choices keeps a fork of it (the top
+    frame keeps the walker itself), and every frame's canonical key is
+    recomputed for the on-path set.
+    """
+    stack: List[Frame] = []
+    engine = root
+    last = len(resumed.choices) - 1
+    for depth, (choices, slept) in enumerate(zip(resumed.choices, resumed.slept)):
+        if depth:
+            engine.step(resumed.schedule[depth - 1])
+        own: Optional[Engine] = None
+        if choices:
+            own = engine if depth == last else engine.fork()
+        stack.append(
+            Frame(
+                engine=own,
+                key=engine.snapshot().canonical_key(),
+                schedule=resumed.schedule[:depth],
+                choices=list(choices),
+                slept=set(slept),
+            )
+        )
+    return stack
 
 
 def all_placements(
@@ -480,19 +632,32 @@ def exhaust_placements(
     ``jobs > 1`` fans whole placements across a process pool (results
     keep placement order, so the output is identical to the serial run);
     it requires a registered ``algorithm`` name — ``factory`` callables
-    and ``progress`` hooks do not cross process boundaries.
+    do not cross process boundaries, and ``progress`` hooks are dropped.
+    This is the model checker's only process parallelism.
     """
     placements = list(
         all_placements(ring_size, agent_count, dedupe_rotations=dedupe_rotations)
     )
     if jobs > 1:
-        from repro.mc.parallel import check_placements_pool
-
-        return check_placements_pool(algorithm, placements, jobs=jobs, **kwargs)
+        if kwargs.get("factory") is not None:
+            raise ValueError(
+                "exhaust_placements(jobs > 1) needs a registered algorithm "
+                "name; agent factories do not cross process boundaries"
+            )
+        kwargs.pop("progress", None)
+        if len(placements) > 1:
+            payloads = [(algorithm, placement, kwargs) for placement in placements]
+            with multiprocessing.Pool(processes=min(jobs, len(placements))) as pool:
+                return pool.map(_check_placement_task, payloads)
     return [
         check_interleavings(algorithm, placement, **kwargs)
         for placement in placements
     ]
+
+
+def _check_placement_task(payload: tuple) -> MCResult:
+    algorithm, placement, kwargs = payload
+    return check_interleavings(algorithm, placement, **kwargs)
 
 
 def replay_counterexample(

@@ -1,14 +1,16 @@
-"""Disk-spilled, resumable model-checker frontier.
+"""Disk-spilled, resumable checkpoints of the model checker's DFS.
 
 A long exhaustive check is a computation worth protecting: hours of
 exploration die with the process on the first OOM kill or pre-emption.
-This module spills the breadth-first frontier driver's open frontier
-and visited-key memo to ``<store>/mc/<check-hash>/``, keyed — like the
-RunStore — by a content hash of the *check spec* (algorithm, placement,
-POR mode, limits, terminal requirements, packed-encoding version), so a
-killed ``repro mc --store ... --resume`` continues from the last
-committed wave and finishes with the same verdict and cumulative stats
-as an uninterrupted run (pinned by the kill-resume test).
+This module spills the depth-first search of
+:func:`~repro.mc.checker.check_interleavings` — its visited-key memo
+and its open frontier, the DFS stack — to ``<store>/mc/<check-hash>/``,
+keyed like the RunStore by a content hash of the *check spec*
+(algorithm, placement, POR mode, limits, terminal requirements,
+packed-encoding version, journal format), so a killed ``repro mc
+--store ... --resume`` continues from the last committed checkpoint and
+finishes with the same verdict and cumulative stats as an uninterrupted
+run (pinned by the kill-resume test).
 
 Layout
 ------
@@ -16,12 +18,16 @@ Layout
 ``meta.json``
     The check spec and its hash, written once at fresh start.
 ``journal.jsonl``
-    Append-only wave journal.  Each wave appends a *block*: visited-memo
-    deltas (``{"t":"v"}``), terminal-state keys (``{"t":"tk"}``),
-    violations (``{"t":"x"}``), the entire next frontier (``{"t":"i"}``)
-    and finally one commit marker (``{"t":"c"}``) carrying the wave
-    number and cumulative :class:`~repro.mc.state.SearchStats`.  The
-    file is flushed and fsynced once per wave, after the commit marker.
+    Append-only checkpoint journal.  Every
+    :data:`~repro.mc.checker.CHECKPOINT_EVERY` transitions the search
+    appends a *block*: visited-memo deltas since the previous block
+    (``{"t":"v"}``; a reopened state is written again, last write
+    wins), new terminal-state keys (``{"t":"tk"}``), new violations
+    (``{"t":"x"}``), the whole stack (``{"t":"s"}``: the top frame's
+    schedule once, plus each frame's remaining choices and sleep set)
+    and finally one commit marker (``{"t":"c"}``) carrying the
+    cumulative :class:`~repro.mc.state.SearchStats`.  The file is
+    flushed and fsynced once per block, after the commit marker.
 ``result.json``
     The finished :meth:`~repro.mc.checker.MCResult.to_dict`, written
     atomically (tmp + rename) when the check completes; a resume of a
@@ -29,7 +35,7 @@ Layout
 
 Torn-tail safety mirrors :mod:`repro.store.jsonl`: replay buffers lines
 and applies a block only when its commit marker parses — a SIGKILL
-mid-block (or mid-line) loses at most the uncommitted wave, never the
+mid-block (or mid-line) loses at most the uncommitted block, never the
 journal's integrity.
 """
 
@@ -41,64 +47,42 @@ import os
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.mc.state import SearchStats
 from repro.ring.configuration import PACKED_ENCODING_VERSION
 from repro.ring.placement import Placement
 
 __all__ = [
-    "FrontierItem",
     "FrontierSpill",
+    "JOURNAL_FORMAT",
     "ResumeState",
     "check_spec",
     "check_hash",
 ]
 
-
-@dataclass(frozen=True)
-class FrontierItem:
-    """One open state awaiting expansion.
-
-    ``key`` is the packed canonical key, ``schedule`` an activation
-    prefix that reaches the state (the driver replays it from the root),
-    ``sleep`` the canonical sleep slots the state is to be expanded
-    under, and ``restrict`` — when not ``None`` — the exact slots to
-    (re-)expand: the sleep-set revisit rule re-opens only the
-    transitions a previous visit slept through.
-    """
-
-    key: bytes
-    schedule: Tuple[int, ...]
-    sleep: frozenset = frozenset()
-    restrict: Optional[Tuple[int, ...]] = None
-
-    def to_json(self) -> dict:
-        return {
-            "t": "i",
-            "k": self.key.hex(),
-            "sch": list(self.schedule),
-            "s": sorted(self.sleep),
-            "r": None if self.restrict is None else list(self.restrict),
-        }
-
-    @classmethod
-    def from_json(cls, record: dict) -> "FrontierItem":
-        return cls(
-            key=bytes.fromhex(record["k"]),
-            schedule=tuple(record["sch"]),
-            sleep=frozenset(record["s"]),
-            restrict=None if record["r"] is None else tuple(record["r"]),
-        )
+#: Journal layout tag baked into every check spec.  A journal written
+#: in another layout (the retired breadth-first wave journal had none)
+#: hashes to a different directory and can never be resumed as a DFS
+#: checkpoint.
+JOURNAL_FORMAT = "dfs-checkpoint-1"
 
 
 @dataclass
 class ResumeState:
-    """Everything the frontier driver needs to continue a killed check."""
+    """The DFS state at the last committed checkpoint.
 
-    wave: int
+    ``schedule`` is the top frame's activation prefix; frame ``i`` of
+    the stack sits at ``schedule[:i]``.  ``choices`` and ``slept`` hold
+    each frame's untried choices (in pop order) and sleep set;
+    ``violations`` are :meth:`~repro.mc.checker.Counterexample.to_dict`
+    entries.
+    """
+
     visited: Dict[bytes, frozenset]
-    frontier: List[FrontierItem]
+    schedule: Tuple[int, ...]
+    choices: List[List[int]]
+    slept: List[List[int]]
     stats: SearchStats
     violations: List[dict] = field(default_factory=list)
     terminal_keys: List[str] = field(default_factory=list)
@@ -119,11 +103,11 @@ def check_spec(
     """The canonical, JSON-stable description of one check.
 
     Everything that changes the *meaning* of the exploration is in here
-    (including the packed-encoding version — a format bump must never
-    resume an old spill); runtime hooks like ``progress`` are not.
-    ``links`` (a
+    (including the packed-encoding version and the journal format — a
+    format bump must never resume an old spill); runtime hooks like
+    ``progress`` are not.  ``links`` (a
     :class:`~repro.ring.faults.LinkSpec`, serialised) is emitted only
-    when active, so every reliable check keeps its historical hash.
+    when active.
     """
 
     def props(sequence: tuple) -> list:
@@ -139,6 +123,7 @@ def check_spec(
 
     spec = {
         "encoding": PACKED_ENCODING_VERSION,
+        "journal": JOURNAL_FORMAT,
         "algorithm": algorithm,
         "ring_size": placement.ring_size,
         "homes": list(placement.homes),
@@ -184,8 +169,12 @@ def _stats_from_json(record: dict) -> SearchStats:
     )
 
 
+def _line(record: dict) -> str:
+    return json.dumps(record, separators=(",", ":"))
+
+
 class FrontierSpill:
-    """Journal-backed persistence for one check's frontier and memo."""
+    """Journal-backed persistence for one check's DFS stack and memo."""
 
     def __init__(self, store_root: str, spec: dict) -> None:
         self.spec = spec
@@ -206,71 +195,80 @@ class FrontierSpill:
             return None
 
     def resume_state(self) -> Optional[ResumeState]:
-        """Replay the journal up to its last committed wave.
+        """Replay the journal up to its last committed checkpoint.
 
         Returns ``None`` when there is nothing committed to resume from
         (missing or fully torn journal) — the caller then starts fresh.
-        Uncommitted trailing lines (a wave interrupted mid-append) are
-        discarded.
+        Uncommitted trailing bytes (a block interrupted mid-append) are
+        cut off the file, so the blocks the resumed search appends stay
+        readable.
         """
         path = self.directory / "journal.jsonl"
         if not path.exists():
             return None
         state: Optional[ResumeState] = None
+        offset = committed = 0
         visited: Dict[bytes, frozenset] = {}
         violations: List[dict] = []
         terminal_keys: List[str] = []
         block_visited: List[Tuple[bytes, frozenset]] = []
-        block_items: List[FrontierItem] = []
         block_violations: List[dict] = []
         block_terminal: List[str] = []
-        with path.open("r", encoding="utf-8") as handle:
+        block_stack: Optional[dict] = None
+        with path.open("rb") as handle:
             for line in handle:
-                if not line.endswith("\n"):
+                if not line.endswith(b"\n"):
                     break  # torn tail: mid-line kill
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError:
+                except (UnicodeDecodeError, json.JSONDecodeError):
                     break
+                offset += len(line)
                 kind = record.get("t")
                 if kind == "v":
                     block_visited.append(
                         (bytes.fromhex(record["k"]), frozenset(record["s"]))
                     )
-                elif kind == "i":
-                    block_items.append(FrontierItem.from_json(record))
+                elif kind == "s":
+                    block_stack = record
                 elif kind == "x":
                     block_violations.append(record)
                 elif kind == "tk":
                     block_terminal.append(record["k"])
-                elif kind == "c":
+                elif kind == "c" and block_stack is not None:
                     for key, slots in block_visited:
                         visited[key] = slots
                     violations.extend(block_violations)
                     terminal_keys.extend(block_terminal)
                     state = ResumeState(
-                        wave=record["w"],
                         visited=visited,
-                        frontier=list(block_items),
+                        schedule=tuple(block_stack["sch"]),
+                        choices=[frame[0] for frame in block_stack["f"]],
+                        slept=[frame[1] for frame in block_stack["f"]],
                         stats=_stats_from_json(record["stats"]),
                         violations=violations,
                         terminal_keys=terminal_keys,
                     )
                     block_visited = []
-                    block_items = []
                     block_violations = []
                     block_terminal = []
+                    block_stack = None
+                    committed = offset
+        if state is not None:
+            os.truncate(path, committed)
         return state
 
     def start_fresh(self) -> None:
-        """Wipe any previous spill for this spec and write ``meta.json``."""
+        """Wipe any previous spill for this spec, write ``meta.json`` and
+        an empty journal."""
         if self.directory.exists():
             shutil.rmtree(self.directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        meta = {"version": 1, "hash": self.hash, "spec": self.spec}
+        meta = {"version": 2, "hash": self.hash, "spec": self.spec}
         (self.directory / "meta.json").write_text(
             json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
+        (self.directory / "journal.jsonl").touch()
 
     def _handle(self):
         if self._journal is None:
@@ -279,39 +277,32 @@ class FrontierSpill:
             )
         return self._journal
 
-    # -- per-wave append ----------------------------------------------
+    # -- per-checkpoint append ----------------------------------------
 
-    def append_wave(
+    def append_checkpoint(
         self,
-        wave: int,
-        visited_delta: List[Tuple[bytes, frozenset]],
-        frontier: List[FrontierItem],
-        violations: List[dict],
-        terminal_keys: List[str],
+        visited_delta: Dict[bytes, frozenset],
+        terminal_keys: Sequence[str],
+        violations: Sequence[dict],
+        schedule: Tuple[int, ...],
+        frames: Sequence[Tuple[List[int], List[int]]],
         stats: SearchStats,
     ) -> None:
-        """Append one wave block and fsync it behind a commit marker."""
+        """Append one checkpoint block and fsync it behind a commit marker.
+
+        ``frames`` lists each stack frame's ``(choices, slept)``, bottom
+        first; ``schedule`` is the top frame's activation prefix;
+        ``violations`` are counterexample ``to_dict`` entries.
+        """
+        lines = [
+            _line({"t": "v", "k": key.hex(), "s": sorted(slots)})
+            for key, slots in visited_delta.items()
+        ]
+        lines.extend(_line({"t": "tk", "k": key_hex}) for key_hex in terminal_keys)
+        lines.extend(_line({"t": "x", **violation}) for violation in violations)
+        lines.append(_line({"t": "s", "sch": list(schedule), "f": list(frames)}))
+        lines.append(_line({"t": "c", "stats": _stats_to_json(stats)}))
         handle = self._handle()
-        lines: List[str] = []
-        for key, slots in visited_delta:
-            lines.append(
-                json.dumps(
-                    {"t": "v", "k": key.hex(), "s": sorted(slots)},
-                    separators=(",", ":"),
-                )
-            )
-        for key_hex in terminal_keys:
-            lines.append(json.dumps({"t": "tk", "k": key_hex}, separators=(",", ":")))
-        for violation in violations:
-            lines.append(json.dumps(violation, separators=(",", ":")))
-        for item in frontier:
-            lines.append(json.dumps(item.to_json(), separators=(",", ":")))
-        lines.append(
-            json.dumps(
-                {"t": "c", "w": wave, "stats": _stats_to_json(stats)},
-                separators=(",", ":"),
-            )
-        )
         handle.write("\n".join(lines) + "\n")
         handle.flush()
         os.fsync(handle.fileno())

@@ -42,7 +42,7 @@ soundness is preserved.  Lost agents are deliberately *not* encoded:
 they never act again, so two states differing only in which (or whose)
 agent was dropped — with the same spent budgets — have isomorphic
 futures.  With ``faults=None`` every encoding is byte-identical to the
-pre-fault format, so reliable-link memo keys and spilled frontiers are
+pre-fault format, so reliable-link memo keys and spilled checkpoints are
 untouched.
 """
 
@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 #: Version tag baked into every packed encoding.  Bump it whenever the
-#: byte layout changes so spilled model-checker frontiers keyed on the
+#: byte layout changes so spilled model-checker checkpoints keyed on the
 #: encoding can never be resumed against an incompatible format.
 PACKED_ENCODING_VERSION = "MC1"
 

@@ -10,6 +10,8 @@ with equal digests (record-for-record identical archives).
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,26 @@ def _sweep(**overrides) -> SweepSpec:
 def test_unknown_backend_rejected():
     with pytest.raises(ConfigurationError):
         execute_sweep(_sweep(), processes=1, backend="vectorized")
+
+
+def test_batch_backend_without_numpy_fails_in_one_line(monkeypatch, capsys):
+    # numpy is the optional `batch` extra: without it, asking for the
+    # batch backend is a configuration error, not an ImportError trace.
+    from repro.cli import main
+
+    for name in list(sys.modules):
+        if name == "repro.sim.batch" or name.startswith("repro.sim.batch."):
+            monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ConfigurationError, match="needs numpy"):
+        execute_sweep(_sweep(), processes=1, backend="batch")
+    code = main(
+        ["psweep", "--grid", "12x3", "--schedulers", "sync", "--trials", "1",
+         "--jobs", "1", "--backend", "batch"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "needs numpy" in captured.err
 
 
 def test_storeless_rows_identical_across_backends():

@@ -242,17 +242,31 @@ class TestMcCommand:
             assert parallel == serial, instance
 
     def test_mc_store_matches_unspilled_run(self, capsys, tmp_path):
-        # --store runs the single-process spilled frontier; its document
-        # equals the unspilled search's for the same configuration.
+        # --store journals the same DFS; its document and exit code equal
+        # the unspilled search's on clean, truncated, violating and
+        # faulty inputs alike.
         import json
 
-        instance = ["mc", "--algorithm", "unknown", "--distances", "3,5", "--json"]
-        assert main(instance) == 0
-        unspilled = json.loads(capsys.readouterr().out)
-        assert main([*instance, "--store", str(tmp_path)]) == 0
-        spilled = json.loads(capsys.readouterr().out)
-        assert spilled == unspilled
-        assert list((tmp_path / "mc").iterdir())  # one journal directory
+        clean = ["--algorithm", "unknown", "--distances", "3,5"]
+        bug = ["--algorithm", "wake_race", "--distances", "1,2,5"]
+        for index, instance in enumerate(
+            [
+                clean,
+                [*clean, "--max-states", "50"],
+                [*clean, "--depth-limit", "20"],
+                bug,
+                [*bug, "--keep-going"],
+                [*clean, "--links", "delay=1"],
+            ]
+        ):
+            code = main(["mc", *instance, "--json"])
+            unspilled = json.loads(capsys.readouterr().out)
+            store = tmp_path / str(index)
+            spilled_code = main(["mc", *instance, "--json", "--store", str(store)])
+            spilled = json.loads(capsys.readouterr().out)
+            assert spilled_code == code, instance
+            assert spilled == unspilled, instance
+            assert len(list((store / "mc").iterdir())) == 1, instance
 
     def test_mc_rejects_bad_jobs_and_bare_resume(self, capsys, tmp_path):
         assert main(["mc", "--n", "6", "--k", "2", "--jobs", "0"]) == 2

@@ -26,7 +26,6 @@ from repro.errors import ConfigurationError, ReproError
 from repro.experiments.runner import build_engine, run_experiment
 from repro.fuzz.coverage import enabled_pattern
 from repro.mc.checker import check_interleavings
-from repro.mc.parallel import check_frontier
 from repro.registry import algorithm_names, build_scheduler, scheduler_names
 from repro.ring.faults import (
     PHANTOM,
@@ -423,18 +422,21 @@ class TestFaultyModelChecking:
         assert reduced.explored == full.explored
         assert sorted(reduced.terminal_keys) == sorted(full.terminal_keys)
 
-    def test_frontier_agrees_with_dfs(self):
+    def test_spilled_dfs_agrees_with_unspilled(self, tmp_path):
         placement = self._placement()
         links = LinkSpec(delay=1, seed=0)
-        dfs = check_interleavings(
-            "unknown", placement, por=False, stop_at_first=False, links=links
-        )
-        bfs = check_frontier(
+        plain = check_interleavings(
             "unknown", placement, stop_at_first=False, links=links
         )
-        assert dfs.verdict == bfs.verdict == "ok"
-        assert dfs.explored == bfs.explored
-        assert dfs.terminals == bfs.terminals
+        spilled = check_interleavings(
+            "unknown",
+            placement,
+            stop_at_first=False,
+            links=links,
+            store_root=str(tmp_path),
+        )
+        assert plain.verdict == spilled.verdict == "ok"
+        assert spilled.to_dict() == plain.to_dict()
 
 
 # ---------------------------------------------------------------------------

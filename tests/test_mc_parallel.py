@@ -1,15 +1,15 @@
-"""Frontier driver, placement pool and disk spill: parity, resume, SIGKILL.
+"""Placement pool and the DFS checkpoint journal: parity, resume, SIGKILL.
 
-The breadth-first frontier driver advertises two strong guarantees,
-each pinned here:
+``check_interleavings(store_root=...)`` advertises two strong
+guarantees, each pinned here:
 
-* **Serial parity** — ``check_frontier`` matches the DFS of
-  ``check_interleavings`` on every cumulative counter and on the
-  terminal-state key set.
+* **Spill parity** — a journaled search returns exactly the unspilled
+  search's :meth:`MCResult.to_dict` (verdict, every counter, the
+  terminal-state key set and the counterexamples).
 * **Resumability** — a spilled check killed at an arbitrary point (a
   torn journal tail, or a real ``SIGKILL`` of the CLI process mid-run)
-  resumes from the last committed wave and finishes with the *same*
-  verdict and cumulative stats as an uninterrupted run.
+  resumes from the last committed checkpoint and finishes with the
+  *same* result as an uninterrupted run.
 
 The placement pool must return the serial grid's results, in order.
 """
@@ -27,10 +27,8 @@ from pathlib import Path
 import pytest
 
 from repro.mc import (
-    check_frontier,
     check_hash,
     check_interleavings,
-    check_placements_pool,
     check_spec,
     exhaust_placements,
     replay_counterexample,
@@ -59,44 +57,58 @@ def _spill_for(store: Path, algorithm: str, placement: Placement) -> FrontierSpi
     return FrontierSpill(str(store), spec)
 
 
-# ----------------------------------------------------------------------
-# Parity with the serial DFS
-# ----------------------------------------------------------------------
-
-
-def test_frontier_matches_serial_dfs():
-    serial = check_interleavings("unknown", PLACEMENT)
-    frontier = check_frontier("unknown", PLACEMENT)
-    assert frontier.ok and serial.ok
-    assert frontier.explored == serial.explored
-    assert frontier.terminals == serial.terminals
-    assert frontier.terminal_keys == serial.terminal_keys
-    assert frontier.max_depth == serial.max_depth
-
-
-def test_frontier_no_por_matches_por_observables():
-    reduced = check_frontier("known_k_full", Placement(6, homes=(0, 2)))
-    full = check_frontier(
-        "known_k_full", Placement(6, homes=(0, 2)), por=False
+def _spilled_and_unspilled(store: Path, algorithm: str, placement, **options):
+    """Run the same check with and without a journal; both results."""
+    spilled = check_interleavings(
+        algorithm, placement, store_root=str(store), **options
     )
+    return spilled, check_interleavings(algorithm, placement, **options)
+
+
+# ----------------------------------------------------------------------
+# Parity with the unspilled search
+# ----------------------------------------------------------------------
+
+
+def test_spilled_dfs_matches_unspilled(tmp_path):
+    spilled, plain = _spilled_and_unspilled(tmp_path, "unknown", PLACEMENT)
+    assert spilled.ok and plain.ok
+    assert spilled.to_dict() == plain.to_dict()
+
+
+def test_spilled_no_por_matches_por_observables(tmp_path):
+    placement = Placement(6, homes=(0, 2))
+    reduced, plain = _spilled_and_unspilled(
+        tmp_path, "known_k_full", placement
+    )
+    full, plain_full = _spilled_and_unspilled(
+        tmp_path, "known_k_full", placement, por=False
+    )
+    assert reduced.to_dict() == plain.to_dict()
+    assert full.to_dict() == plain_full.to_dict()
     assert reduced.explored == full.explored
     assert reduced.terminal_keys == full.terminal_keys
     assert reduced.transitions < full.transitions
 
 
-def test_frontier_respects_max_states():
-    result = check_frontier("unknown", PLACEMENT, max_states=50)
+def test_spilled_respects_max_states(tmp_path):
+    result, plain = _spilled_and_unspilled(
+        tmp_path, "unknown", PLACEMENT, max_states=50
+    )
     assert not result.complete
     assert result.explored <= 50 + 1
+    assert result.to_dict() == plain.to_dict()
 
 
-def test_wake_race_found_by_frontier_and_replays():
-    result = check_frontier(
+def test_wake_race_found_by_spilled_dfs_and_replays(tmp_path):
+    result, plain = _spilled_and_unspilled(
+        tmp_path,
         "wake_race",
         BUG_PLACEMENT,
         require_halted=False,
         require_suspended=True,
     )
+    assert result.to_dict() == plain.to_dict()
     assert result.violations
     violation = result.violations[0]
     assert violation.kind == "terminal"
@@ -109,9 +121,9 @@ def test_wake_race_found_by_frontier_and_replays():
     assert messages  # the schedule replays deterministically to a report
 
 
-def test_frontier_runs_agent_factory_in_process():
-    # Factories are in-process closures; the serial frontier takes one
-    # directly and agrees with the DFS driven by the same factory.
+def test_spilled_dfs_runs_agent_factory_in_process(tmp_path):
+    # Factories are in-process closures; the journaled search takes one
+    # directly and agrees with the unspilled search driven by it.
     options = dict(
         factory=lambda: wake_race_agents(3),
         require_halted=False,
@@ -119,11 +131,11 @@ def test_frontier_runs_agent_factory_in_process():
         stop_at_first=False,
     )
     label = "wake_race(known_k_logspace)"
-    frontier = check_frontier(label, BUG_PLACEMENT, **options)
-    serial = check_interleavings(label, BUG_PLACEMENT, **options)
-    assert frontier.verdict == serial.verdict == "violation"
-    assert frontier.explored == serial.explored
-    assert sorted(frontier.terminal_keys) == sorted(serial.terminal_keys)
+    spilled, plain = _spilled_and_unspilled(
+        tmp_path, label, BUG_PLACEMENT, **options
+    )
+    assert spilled.verdict == plain.verdict == "violation"
+    assert spilled.to_dict() == plain.to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -139,11 +151,8 @@ def test_placement_pool_matches_serial_grid():
 
 def test_placement_pool_rejects_factory():
     with pytest.raises(ValueError):
-        check_placements_pool(
-            "unknown",
-            [PLACEMENT],
-            jobs=2,
-            factory=lambda: wake_race_agents(2),
+        exhaust_placements(
+            "unknown", 8, 2, jobs=2, factory=lambda: wake_race_agents(2)
         )
 
 
@@ -153,7 +162,7 @@ def test_placement_pool_rejects_factory():
 
 
 def test_spill_writes_journal_and_result(tmp_path):
-    result = check_frontier(
+    result = check_interleavings(
         "unknown", PLACEMENT, store_root=str(tmp_path)
     )
     spill = _spill_for(tmp_path, "unknown", PLACEMENT)
@@ -166,12 +175,27 @@ def test_spill_writes_journal_and_result(tmp_path):
     assert check_hash(meta["spec"]) == spill.hash
 
 
+def test_check_hash_carries_the_journal_format(tmp_path):
+    # A journal written in another layout (the breadth-first wave
+    # journal had no "journal" field) must land in another directory,
+    # so --resume can never read it as a DFS checkpoint.
+    spill = _spill_for(tmp_path, "unknown", PLACEMENT)
+    assert spill.spec["journal"] == "dfs-checkpoint-1"
+    assert spill.hash == (
+        "030c979e6b481058805eb2131e21cf4e87b15183a2e242bc66d1870d3cab06d2"
+    )
+    older = {key: value for key, value in spill.spec.items() if key != "journal"}
+    assert check_hash(older) == (
+        "3fea091b23ed92737ee40db22b7b8eb03415f86066b0f7c6a9a40a92220add3e"
+    )
+
+
 def test_resume_of_completed_check_short_circuits(tmp_path):
-    first = check_frontier("unknown", PLACEMENT, store_root=str(tmp_path))
+    first = check_interleavings("unknown", PLACEMENT, store_root=str(tmp_path))
     spill = _spill_for(tmp_path, "unknown", PLACEMENT)
     journal = tmp_path / "mc" / spill.hash / "journal.jsonl"
     before = journal.stat().st_size
-    again = check_frontier(
+    again = check_interleavings(
         "unknown", PLACEMENT, store_root=str(tmp_path), resume=True
     )
     assert again.to_dict() == first.to_dict()
@@ -179,11 +203,11 @@ def test_resume_of_completed_check_short_circuits(tmp_path):
 
 
 def test_restart_without_resume_wipes_and_reruns(tmp_path):
-    first = check_frontier("unknown", PLACEMENT, store_root=str(tmp_path))
+    first = check_interleavings("unknown", PLACEMENT, store_root=str(tmp_path))
     spill = _spill_for(tmp_path, "unknown", PLACEMENT)
     marker = tmp_path / "mc" / spill.hash / "stale-file"
     marker.write_text("stale")
-    second = check_frontier("unknown", PLACEMENT, store_root=str(tmp_path))
+    second = check_interleavings("unknown", PLACEMENT, store_root=str(tmp_path))
     assert second.to_dict() == first.to_dict()
     assert not marker.exists()  # start_fresh wiped the directory
 
@@ -208,15 +232,19 @@ def _truncate_journal(journal: Path, keep_commits: int, garbage: str) -> None:
     ids=["mid-line-kill", "corrupt-line", "clean-commit-boundary"],
 )
 def test_torn_journal_resumes_to_identical_result(tmp_path, garbage):
-    clean = check_frontier("unknown", PLACEMENT, store_root=str(tmp_path))
+    clean = check_interleavings("unknown", PLACEMENT, store_root=str(tmp_path))
     spill = _spill_for(tmp_path, "unknown", PLACEMENT)
     directory = tmp_path / "mc" / spill.hash
-    _truncate_journal(directory / "journal.jsonl", keep_commits=6, garbage=garbage)
+    _truncate_journal(directory / "journal.jsonl", keep_commits=2, garbage=garbage)
     (directory / "result.json").unlink()
-    resumed = check_frontier(
+    resumed = check_interleavings(
         "unknown", PLACEMENT, store_root=str(tmp_path), resume=True
     )
     assert resumed.to_dict() == clean.to_dict()
+    # The torn tail was cut before the resumed search appended to the
+    # journal, so a second crash could resume from the newer blocks.
+    lines = (directory / "journal.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["t"] for line in lines].count("c") == 3
 
 
 def test_torn_journal_resumes_through_cli(tmp_path, capsys):
@@ -224,10 +252,10 @@ def test_torn_journal_resumes_through_cli(tmp_path, capsys):
     # library spilled resumes under `repro mc --store --resume`.
     from repro.cli import main
 
-    clean = check_frontier("unknown", PLACEMENT, store_root=str(tmp_path))
+    clean = check_interleavings("unknown", PLACEMENT, store_root=str(tmp_path))
     spill = _spill_for(tmp_path, "unknown", PLACEMENT)
     directory = tmp_path / "mc" / spill.hash
-    _truncate_journal(directory / "journal.jsonl", keep_commits=4, garbage="")
+    _truncate_journal(directory / "journal.jsonl", keep_commits=1, garbage="")
     (directory / "result.json").unlink()
     code = main(
         ["mc", "--algorithm", "unknown", "--n", "8", "--distances", "3,5",
@@ -240,7 +268,7 @@ def test_torn_journal_resumes_through_cli(tmp_path, capsys):
 
 
 def test_resumed_violation_is_not_reexplored(tmp_path):
-    found = check_frontier(
+    found = check_interleavings(
         "wake_race",
         BUG_PLACEMENT,
         require_halted=False,
@@ -248,7 +276,7 @@ def test_resumed_violation_is_not_reexplored(tmp_path):
         store_root=str(tmp_path),
     )
     assert found.violations
-    again = check_frontier(
+    again = check_interleavings(
         "wake_race",
         BUG_PLACEMENT,
         require_halted=False,
@@ -317,7 +345,7 @@ def test_sigkill_mid_check_resumes_to_identical_verdict(tmp_path):
                 if committed >= 5:
                     break
             time.sleep(0.02)
-        assert committed >= 5, "no committed waves before the deadline"
+        assert committed >= 5, "no committed checkpoints before the deadline"
         os.kill(process.pid, signal.SIGKILL)
     finally:
         process.wait(timeout=60)
@@ -328,12 +356,6 @@ def test_sigkill_mid_check_resumes_to_identical_verdict(tmp_path):
     assert resumed.returncode == 0, resumed.stderr
     document = json.loads(resumed.stdout)
 
-    clean = check_frontier("unknown", Placement(10, homes=(0, 3, 7)))
-    cell = document["results"][0]
+    clean = check_interleavings("unknown", Placement(10, homes=(0, 3, 7)))
     assert document["ok"] is True
-    assert cell["verdict"] == "ok"
-    assert cell["explored"] == clean.explored
-    assert cell["transitions"] == clean.transitions
-    assert cell["terminals"] == clean.terminals
-    assert cell["terminal_keys"] == list(clean.terminal_keys)
-    assert cell["max_depth"] == clean.max_depth
+    assert document["results"][0] == clean.to_dict()

@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.mc import (
-    check_frontier,
     check_interleavings,
     conflict,
     exhaust_placements,
@@ -148,15 +147,15 @@ def test_wake_race_still_caught_with_por_and_replays():
     assert violation.message in messages
 
 
-def test_wake_race_still_caught_with_por_frontier():
-    result = check_frontier(
-        "wake_race",
-        BUG_PLACEMENT,
-        require_halted=False,
-        require_suspended=True,
+def test_wake_race_still_caught_with_por_spilled(tmp_path):
+    options = dict(require_halted=False, require_suspended=True)
+    result = check_interleavings(
+        "wake_race", BUG_PLACEMENT, store_root=str(tmp_path), **options
     )
     assert result.violations
     assert result.violations[0].kind == "terminal"
+    plain = check_interleavings("wake_race", BUG_PLACEMENT, **options)
+    assert result.to_dict() == plain.to_dict()
 
 
 class _ForeverSpinner(Agent):

@@ -12,6 +12,7 @@ Two layers:
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -247,6 +248,26 @@ def test_cycle_detection_flags_livelock_and_replays():
         violation, factory=lambda: [_ForeverSpinner()]
     )
     assert violation.message in messages
+
+
+def test_cycle_detection_survives_the_store(tmp_path):
+    # A journaled search is the same DFS: the livelock is still a
+    # violation, result.json carries it, and a resume returns it as is.
+    options = dict(
+        factory=lambda: [_ForeverSpinner()],
+        require_halted=True,
+        require_suspended=False,
+        store_root=str(tmp_path),
+    )
+    placement = Placement(ring_size=4, homes=(0,))
+    result = check_interleavings("forever_spinner", placement, **options)
+    assert [v.kind for v in result.violations] == ["cycle"]
+    (stored,) = (tmp_path / "mc").glob("*/result.json")
+    assert json.loads(stored.read_text()) == result.to_dict()
+    resumed = check_interleavings(
+        "forever_spinner", placement, resume=True, **options
+    )
+    assert resumed.to_dict() == result.to_dict()
 
 
 def test_memory_bound_property_fires_and_replays():
