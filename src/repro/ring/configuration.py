@@ -44,13 +44,40 @@ agent was dropped — with the same spent budgets — have isomorphic
 futures.  With ``faults=None`` every encoding is byte-identical to the
 pre-fault format, so reliable-link memo keys and spilled checkpoints are
 untouched.
+
+Cost of the encodings
+---------------------
+
+Both forms are recomputed for every snapshot the model checker or the
+fuzzer takes, so three things keep them cheap without moving a byte:
+
+* **Payload memo.**  ``packed_layout`` reads each agent's payload bytes
+  from a module-level memo, a pure-function cache of
+  :func:`pack_value` that is cleared whenever it reaches
+  :data:`PAYLOAD_MEMO_CAP` entries.  Its key is
+  ``marshal.dumps(payload, 2)``: marshal keeps ``True``/``1``/``1.0``
+  and tuples/lists/strings apart, rejects subclasses, and at version 2
+  writes no identity-dependent back-references.  Two payloads that
+  :func:`pack_value` separates must never share a key, and marshal
+  writes every buffer-protocol object (``bytearray``, numpy scalars)
+  as plain ``bytes``, so only payloads built from exact ``None``,
+  ``bool``, ``int``, ``float``, ``complex``, ``str`` and their
+  tuples, lists, sets and dicts are memoised.  Anything else (message
+  dataclasses, bytes) is packed directly every time.
+* **Empty nodes.**  A node with no staying agent, no queued entry and
+  (under faults) an empty delay buffer gets its constant block or entry
+  straight from its token count: no sort, no packing, no ``repr``.
+* **Rotation candidates.**  The lexicographically least rotation starts
+  at a least node block (or node ``repr``), so only those rotations are
+  compared; the smallest-index tie-break is unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
+import marshal
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 __all__ = [
     "Configuration",
@@ -74,6 +101,20 @@ _PHANTOM_MARKER = "phantom"
 #: opens with a :func:`pack_value` type tag (``(`` for the payload
 #: tuple), so the single ``*`` parses unambiguously.
 _PHANTOM_BYTE = b"*"
+
+#: Entries the payload-bytes memo holds before it is cleared.  The
+#: pinned ``unknown`` n=10 k=3 check meets a few hundred distinct agent
+#: payloads, so the cap bounds memory without evicting a working set.
+PAYLOAD_MEMO_CAP = 4096
+
+#: ``marshal.dumps(payload, 2)`` -> the payload's :func:`pack_value`
+#: bytes (see "Cost of the encodings" in the module docstring).
+_PAYLOAD_MEMO: Dict[bytes, bytes] = {}
+
+#: Types marshal writes under codes of their own, never shared with
+#: another type; a payload made only of these has a sound memo key.
+_MEMO_SCALARS = frozenset({type(None), bool, int, float, complex, str})
+_MEMO_CONTAINERS = frozenset({tuple, list, set, frozenset})
 
 
 def pack_value(value: object, out: bytearray) -> None:
@@ -120,6 +161,38 @@ def pack_value(value: object, out: bytearray) -> None:
         raw = repr(value).encode("utf-8")
         out += b"R%d:" % len(raw)
         out += raw
+
+
+def _memoisable(value: object) -> bool:
+    """True when ``value`` holds only types whose marshal codes are unique."""
+    kind = type(value)
+    if kind in _MEMO_SCALARS:
+        return True
+    if kind in _MEMO_CONTAINERS:
+        return all(_memoisable(item) for item in value)
+    if kind is dict:
+        return all(_memoisable(k) and _memoisable(v) for k, v in value.items())
+    return False
+
+
+def _payload_bytes(payload: object) -> bytes:
+    """:func:`pack_value` of ``payload``, through the bounded memo."""
+    try:
+        key = marshal.dumps(payload, 2)
+    except ValueError:  # unmarshallable, e.g. a message dataclass
+        key = None
+    else:
+        packed = _PAYLOAD_MEMO.get(key)
+        if packed is not None:
+            return packed
+    out = bytearray()
+    pack_value(payload, out)
+    packed = bytes(out)
+    if key is not None and _memoisable(payload):
+        if len(_PAYLOAD_MEMO) >= PAYLOAD_MEMO_CAP:
+            _PAYLOAD_MEMO.clear()
+        _PAYLOAD_MEMO[key] = packed
+    return packed
 
 
 @dataclass(frozen=True)
@@ -204,7 +277,10 @@ class Configuration:
         directly, so rotations are compared through their ``repr`` — a
         deterministic, injective encoding on the value types agents use
         (ints, bools, strings, ``None``, tuples, frozen dataclasses).
-        The result is cached: snapshots are immutable.
+        An empty node's entry and ``repr`` come straight from its token
+        count, and only rotations starting at a least node ``repr`` are
+        compared (the least rotation must start there).  The result is
+        cached: snapshots are immutable.
         """
         if self._canonical is not None:
             return self._canonical
@@ -214,20 +290,29 @@ class Configuration:
         faults = self.faults
         if faults is not None:
             buffers, _lost, ordinal, loss_used, dup_used = faults
+            empty_tail, empty_repr = ((), (), ()), "(%r, (), (), ())"
+        else:
+            empty_tail, empty_repr = ((), ()), "(%r, (), ())"
         nodes = []
+        node_reprs = []
         for node in range(self.ring_size):
+            staying_ids = self.staying.get(node, ())
+            queued_ids = self.queues.get(node, ())
+            buffered = () if faults is None else buffers[node]
+            tokens = self.tokens[node]
+            if not staying_ids and not queued_ids and not buffered:
+                nodes.append((tokens,) + empty_tail)
+                node_reprs.append(empty_repr % (tokens,))
+                continue
             staying = tuple(
-                sorted(
-                    (payloads[agent_id] for agent_id in self.staying.get(node, ())),
-                    key=repr,
-                )
+                sorted((payloads[agent_id] for agent_id in staying_ids), key=repr)
             )
             queued = tuple(
                 payloads[agent_id] if agent_id >= 0 else _PHANTOM_MARKER
-                for agent_id in self.queues.get(node, ())
+                for agent_id in queued_ids
             )
             if faults is None:
-                nodes.append((self.tokens[node], staying, queued))
+                entry: Tuple[object, ...] = (tokens, staying, queued)
             else:
                 # Delay buffers live on concrete links, so they rotate
                 # with the ring: fold them into the node entry (payload
@@ -237,13 +322,15 @@ class Configuration:
                         payloads[payload] if payload >= 0 else _PHANTOM_MARKER,
                         remaining,
                     )
-                    for payload, remaining in buffers[node]
+                    for payload, remaining in buffered
                 )
-                nodes.append((self.tokens[node], staying, queued, held))
-        node_reprs = [repr(entry) for entry in nodes]
+                entry = (tokens, staying, queued, held)
+            nodes.append(entry)
+            node_reprs.append(repr(entry))
         size = self.ring_size
+        least = min(node_reprs)
         best = min(
-            range(size),
+            (r for r in range(size) if node_reprs[r] == least),
             key=lambda r: tuple(node_reprs[r:] + node_reprs[:r]),
         )
         canonical = (size,) + tuple(nodes[best:] + nodes[:best])
@@ -274,6 +361,13 @@ class Configuration:
         per-node encodings minimised over the same rotation orbit — but
         costs a fraction of the memory of the ``repr``-tuple form.
 
+        Payload bytes come from the module's bounded memo (keyed on
+        ``marshal.dumps(payload, 2)``, only for payloads whose marshal
+        codes are unique per type, cleared at :data:`PAYLOAD_MEMO_CAP`
+        entries); an empty node's block is the constant
+        ``b"I<tokens>;P0:Q0:"`` (plus ``F0:`` under faults); and only
+        rotations starting at a least block are compared.
+
         ``slot_to_agent`` maps *canonical agent slots* (positions in the
         packed traversal order: per canonical node, staying agents in
         their sorted order, then queued agents head first) back to the
@@ -289,22 +383,30 @@ class Configuration:
         if self._packed is not None:
             assert self._slots is not None
             return self._packed, self._slots
-        payload_bytes = {}
-        for agent_id in self.agent_states:
-            buf = bytearray()
-            pack_value(self._agent_payload(agent_id), buf)
-            payload_bytes[agent_id] = bytes(buf)
+        payload_bytes = {
+            agent_id: _payload_bytes(self._agent_payload(agent_id))
+            for agent_id in self.agent_states
+        }
         faults = self.faults
         if faults is not None:
             buffers, _lost, ordinal, loss_used, dup_used = faults
+            empty_block = b"I%d;P0:Q0:F0:"
+        else:
+            empty_block = b"I%d;P0:Q0:"
         blocks = []
         node_slots = []
         for node in range(self.ring_size):
+            staying_ids = self.staying.get(node, ())
+            queued_ids = self.queues.get(node, ())
+            held = () if faults is None else buffers[node]
+            if not staying_ids and not queued_ids and not held:
+                blocks.append(empty_block % self.tokens[node])
+                node_slots.append(())
+                continue
             staying_ids = sorted(
-                self.staying.get(node, ()),
+                staying_ids,
                 key=lambda agent_id: (payload_bytes[agent_id], agent_id),
             )
-            queued_ids = tuple(self.queues.get(node, ()))
             block = bytearray()
             block += b"I%d;" % self.tokens[node]
             block += b"P%d:" % len(staying_ids)
@@ -320,7 +422,6 @@ class Configuration:
                 # Delay buffer of the link into this node, head first:
                 # payload encoding + remaining ticks, inside the
                 # rotation because buffers sit on concrete links.
-                held = buffers[node]
                 block += b"F%d:" % len(held)
                 for payload, remaining in held:
                     if payload >= 0:
@@ -334,7 +435,11 @@ class Configuration:
                 + tuple(agent_id for agent_id in queued_ids if agent_id >= 0)
             )
         size = self.ring_size
-        best = min(range(size), key=lambda r: blocks[r:] + blocks[:r])
+        least = min(blocks)
+        best = min(
+            (r for r in range(size) if blocks[r] == least),
+            key=lambda r: blocks[r:] + blocks[:r],
+        )
         packed = b"%s;I%d;%s" % (
             PACKED_ENCODING_VERSION.encode("ascii"),
             size,

@@ -15,16 +15,28 @@ tests pin the contract from three sides:
   PR-2 verification grid.
 * **Slot layout** — ``packed_layout`` enumerates every agent exactly
   once, in a relabelling-stable order (the POR sleep sets depend on it).
+* **Reference differential** — ``packed_layout``, ``canonical_key`` and
+  ``canonical`` equal the first-written encoders frozen in
+  ``reference_impls`` on random reliable and faulty configurations.
+* **Payload memo soundness** — payloads that compare equal but pack
+  apart (``1``/``True``/``1.0``) never share a memo entry.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.ring.configuration as configuration_module
+from reference_impls import (
+    reference_canonical,
+    reference_canonical_key,
+    reference_packed_layout,
+)
 from repro.experiments.runner import ALGORITHMS, build_engine
 from repro.ring.configuration import Configuration, pack_value
 from repro.ring.placement import Placement
@@ -39,25 +51,43 @@ _SCALARS = st.one_of(
     st.booleans(),
     st.integers(-3, 40),
     st.sampled_from(["seek", "settle", "probe", ""]),
+    st.sampled_from([0.0, -0.0, 1.0, 0.5]),
+    st.floats(allow_nan=False),
 )
 _PAYLOADS = st.tuples(_SCALARS, _SCALARS, _SCALARS)
 
 
 @st.composite
-def configurations(draw):
+def configurations(draw, faulty: bool = False):
+    """A random snapshot; ``faulty`` adds delay buffers, phantoms, losses."""
     ring_size = draw(st.integers(min_value=3, max_value=8))
     agent_count = draw(st.integers(min_value=1, max_value=4))
+    places = ["stay", "queue"] + (["buffer", "lost"] if faulty else [])
     locations = draw(
         st.lists(
-            st.tuples(st.integers(0, ring_size - 1), st.booleans()),
+            st.tuples(st.integers(0, ring_size - 1), st.sampled_from(places)),
             min_size=agent_count,
             max_size=agent_count,
         )
     )
     staying = {node: [] for node in range(ring_size)}
     queues = {node: [] for node in range(ring_size)}
-    for agent_id, (node, stays) in enumerate(locations):
-        (staying if stays else queues)[node].append(agent_id)
+    buffers = {node: [] for node in range(ring_size)}
+    lost = []
+    for agent_id, (node, place) in enumerate(locations):
+        if place == "stay":
+            staying[node].append(agent_id)
+        elif place == "queue":
+            queues[node].append(agent_id)
+        elif place == "buffer":
+            buffers[node].append((agent_id, draw(st.integers(1, 2))))
+        else:
+            lost.append(agent_id)
+    if faulty:
+        for node in draw(st.lists(st.integers(0, ring_size - 1), max_size=2)):
+            queues[node].append(-1)  # phantom duplicate delivery
+        for node in draw(st.lists(st.integers(0, ring_size - 1), max_size=1)):
+            buffers[node].append((-1, draw(st.integers(1, 2))))
     agent_states = {
         agent_id: draw(_PAYLOADS) for agent_id in range(agent_count)
     }
@@ -71,6 +101,15 @@ def configurations(draw):
     tokens = tuple(
         draw(st.integers(0, 2)) for _ in range(ring_size)
     )
+    faults = None
+    if faulty:
+        faults = (
+            tuple(tuple(buffers[node]) for node in range(ring_size)),
+            tuple(lost),
+            draw(st.integers(0, 9)),
+            draw(st.integers(0, 2)),
+            draw(st.integers(0, 2)),
+        )
     return Configuration(
         ring_size=ring_size,
         agent_states=agent_states,
@@ -80,12 +119,25 @@ def configurations(draw):
         queues={n: tuple(a) for n, a in queues.items()},
         inboxes=inboxes,
         started=started,
+        faults=faults,
     )
 
 
 def _transform(config: Configuration, shift: int, perm: dict) -> Configuration:
     """Rotate the ring by ``shift`` and relabel agents by ``perm``."""
     n = config.ring_size
+    perm = {**perm, -1: -1}  # phantoms stay anonymous
+    faults = config.faults
+    if faults is not None:
+        buffers, lost, *counters = faults
+        faults = (
+            tuple(
+                tuple((perm[a], ticks) for a, ticks in buffers[(node - shift) % n])
+                for node in range(n)
+            ),
+            tuple(sorted(perm[a] for a in lost)),
+            *counters,
+        )
     return Configuration(
         ring_size=n,
         agent_states={perm[a]: s for a, s in config.agent_states.items()},
@@ -101,10 +153,14 @@ def _transform(config: Configuration, shift: int, perm: dict) -> Configuration:
         },
         inboxes={perm[a]: v for a, v in config.inboxes.items()},
         started={perm[a]: v for a, v in config.started.items()},
+        faults=faults,
     )
 
 
-@given(config=configurations(), data=st.data())
+_ANY_CONFIGURATION = st.one_of(configurations(), configurations(faulty=True))
+
+
+@given(config=_ANY_CONFIGURATION, data=st.data())
 @settings(
     max_examples=150,
     deadline=None,
@@ -311,3 +367,110 @@ def test_packed_layout_slots_relabelling_stable():
     payload_a = [a._agent_payload(agent) for agent in layout_a]
     payload_b = [b._agent_payload(agent) for agent in layout_b]
     assert payload_a == payload_b
+
+
+# ----------------------------------------------------------------------
+# Reference differential: byte-identical to the first-written encoders
+# ----------------------------------------------------------------------
+
+@given(config=_ANY_CONFIGURATION)
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_encodings_equal_reference_encoders(config):
+    assert config.packed_layout() == reference_packed_layout(config)
+    assert config.canonical_key() == reference_canonical_key(config)
+    assert config.canonical() == reference_canonical(config)
+    # Tuple equality takes 1 == True == 1.0; repr does not.
+    assert repr(config.canonical()) == repr(reference_canonical(config))
+
+
+# ----------------------------------------------------------------------
+# Payload memo soundness
+# ----------------------------------------------------------------------
+
+def _one_agent(scalar=None, message=None, faulty: bool = False) -> Configuration:
+    """One agent at node 1 of a 4-ring (in its delay buffer if ``faulty``)."""
+    state = ("Probe", False, False, (("flag", scalar),), ())
+    inbox = () if message is None else (message,)
+    faults = (((), ((0, 1),), (), ()), (), 3, 0, 0) if faulty else None
+    return Configuration(
+        ring_size=4,
+        agent_states={0: state},
+        tokens=(1, 0, 0, 0),
+        inbox_sizes={0: len(inbox)},
+        staying={1: () if faulty else (0,)},
+        queues={},
+        inboxes={0: inbox},
+        started={0: True},
+        faults=faults,
+    )
+
+
+#: Pairs of payload values that compare (and hash) equal yet pack apart.
+_ALIASES = [(1, True), (0, False), (1, 1.0)]
+
+
+def _variants():
+    for first, second in _ALIASES:
+        yield f"scalar-{first!r}-{second!r}", (
+            _one_agent(scalar=first),
+            _one_agent(scalar=second),
+        )
+        yield f"message-{first!r}-{second!r}", (
+            _one_agent(message=first),
+            _one_agent(message=second),
+        )
+    yield "buffered-1-True", (
+        _one_agent(scalar=1, faulty=True),
+        _one_agent(scalar=True, faulty=True),
+    )
+
+
+_VARIANTS = dict(_variants())
+
+
+@pytest.mark.parametrize("name", sorted(_VARIANTS))
+@pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "rev"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_payload_memo_keeps_equal_but_distinct_payloads_apart(name, reverse, warm):
+    configs = _VARIANTS[name]
+    assert configs[0]._agent_payload(0) == configs[1]._agent_payload(0)
+    if reverse:
+        configs = configs[::-1]
+
+    # packed_layout caches on the instance; a replace()d copy packs again.
+    configuration_module._PAYLOAD_MEMO.clear()
+    if warm:
+        for config in configs:
+            dataclasses.replace(config).packed()
+    packed = []
+    for config in configs:
+        copy = dataclasses.replace(config)
+        assert copy.packed_layout() == reference_packed_layout(config)
+        packed.append(copy)
+    assert packed[0].packed() != packed[1].packed()
+    assert packed[0].canonical_key() != packed[1].canonical_key()
+
+
+def test_payload_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(configuration_module, "PAYLOAD_MEMO_CAP", 3)
+    configuration_module._PAYLOAD_MEMO.clear()
+    for value in range(10):
+        config = _one_agent(scalar=value)
+        assert config.packed_layout() == reference_packed_layout(config)
+        assert len(configuration_module._PAYLOAD_MEMO) <= 3
+
+
+def test_payload_memo_skips_buffer_aliases():
+    # marshal writes a bytearray like the bytes it holds; pack_value
+    # does not, so neither may be memoised under the shared key.
+    configuration_module._PAYLOAD_MEMO.clear()
+    as_bytes = _one_agent(scalar=b"\x01")
+    as_bytearray = _one_agent(scalar=bytearray(b"\x01"))
+    for config in (as_bytes, as_bytearray):
+        assert config.packed_layout() == reference_packed_layout(config)
+    assert as_bytes.packed() != as_bytearray.packed()
+    assert not configuration_module._PAYLOAD_MEMO
